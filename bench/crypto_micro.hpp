@@ -1,13 +1,11 @@
 #pragma once
 
-// Quick wall-clock crypto micro-measurements for the BENCH_fig2.json
-// perf-trajectory file, plus self-contained "before" reference
-// implementations:
+// Self-contained "before" reference implementations for micro_crypto:
 //
 //  - AesRef: the byte-oriented S-box AES-128 the datapath started from
 //    (plain SubBytes/ShiftRows/MixColumns per byte, no T-tables, no
 //    AES-NI), with the seed's allocating aes_ctr shape on top.
-//  - legacy_esp_protect: the seed's EspSa::protect() datapath — separate
+//  - LegacyEspProtect: the seed's EspSa::protect() datapath — separate
 //    plaintext/IV/ciphertext/ICV temporaries assembled with inserts and a
 //    per-packet re-keyed HMAC (~5 heap allocations per packet).
 //
@@ -15,18 +13,12 @@
 // one implementation; the bench keeps the yardstick.
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <span>
-#include <vector>
 
 #include "crypto/aes.hpp"
 #include "crypto/bytes.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/sha256.hpp"
-#include "crypto/sha_mb.hpp"
-#include "hip/esp.hpp"
 
 namespace hipcloud::bench {
 
@@ -205,160 +197,5 @@ class LegacyEspProtect {
   std::uint32_t next_seq_ = 1;
   std::uint64_t iv_counter_ = 1;
 };
-
-// ---------------------------------------------------------------------------
-// Timed measurements
-
-/// Calls `fn()` (which processes `bytes_per_call` bytes) until ~`budget`
-/// wall-clock elapses and returns the MB/s (1 MB = 1e6 bytes).
-template <typename Fn>
-double measure_mbps(std::size_t bytes_per_call, Fn&& fn,
-                    std::chrono::milliseconds budget =
-                        std::chrono::milliseconds(150)) {
-  // hipcheck:allow(wall-clock): micro-bench measures real elapsed time; never feeds sim state
-  using Clock = std::chrono::steady_clock;
-  fn();  // warm-up
-  const auto start = Clock::now();
-  const auto deadline = start + budget;
-  std::size_t calls = 0;
-  auto now = start;
-  do {
-    fn();
-    ++calls;
-    now = Clock::now();
-  } while (now < deadline);
-  const double secs = std::chrono::duration<double>(now - start).count();
-  return static_cast<double>(calls) * static_cast<double>(bytes_per_call) /
-         1e6 / secs;
-}
-
-/// Calls `fn()` until ~`budget` elapses and returns calls per second.
-template <typename Fn>
-double measure_ops(Fn&& fn, std::chrono::milliseconds budget =
-                                std::chrono::milliseconds(150)) {
-  // hipcheck:allow(wall-clock): micro-bench measures real elapsed time; never feeds sim state
-  using Clock = std::chrono::steady_clock;
-  fn();  // warm-up
-  const auto start = Clock::now();
-  const auto deadline = start + budget;
-  std::size_t calls = 0;
-  auto now = start;
-  do {
-    fn();
-    ++calls;
-    now = Clock::now();
-  } while (now < deadline);
-  const double secs = std::chrono::duration<double>(now - start).count();
-  return static_cast<double>(calls) / secs;
-}
-
-struct CryptoMicro {
-  double aes_ctr_mbps_before;   // byte-oriented S-box reference
-  double aes_ctr_mbps_after;    // library Aes (T-tables or AES-NI)
-  double hmac_mbps_scalar;      // streamed HmacSha256, compress forced scalar
-  double hmac_mbps;             // streamed HmacSha256, live dispatch
-  double hmac_mb_mbps;          // HmacSha256Mb, lane_width() lanes in flight
-  double esp_protect_ops_before;  // seed-style allocating datapath
-  double esp_protect_ops_after;   // EspSa::protect single-buffer path
-  double esp_protect_batch_ops;   // EspSa::protect_batch, per-packet rate
-  bool aes_hw;                  // AES-NI in use
-  const char* sha_backend;      // sha256_backend::active_name()
-  std::size_t sha_mb_lanes;     // shamb::lane_width()
-};
-
-inline CryptoMicro run_crypto_micro() {
-  const crypto::Bytes key(16, 0x11);
-  const crypto::Bytes auth_key(32, 0x22);
-  const std::uint8_t nonce[12] = {0};
-
-  CryptoMicro m{};
-  m.aes_hw = crypto::Aes::hardware_accelerated();
-  m.sha_backend = crypto::sha256_backend::active_name();
-  m.sha_mb_lanes = crypto::shamb::lane_width();
-
-  {
-    // The reference is slow; a modest buffer keeps the measurement quick
-    // while still spanning many calls.
-    const AesRef ref(key);
-    std::vector<std::uint8_t> buf(64 * 1024, 0xa5);
-    m.aes_ctr_mbps_before = measure_mbps(buf.size(), [&] {
-      const crypto::Bytes out =
-          ref.ctr(crypto::BytesView(nonce, 12), 1,
-                  crypto::BytesView(buf.data(), buf.size()));
-      buf[0] = out[0];  // keep the work observable
-    });
-  }
-  {
-    const crypto::Aes aes(key);
-    std::vector<std::uint8_t> buf(1 << 20, 0xa5);
-    m.aes_ctr_mbps_after = measure_mbps(
-        buf.size(), [&] { aes.ctr_xor(nonce, 1, buf.data(), buf.size()); });
-  }
-  {
-    crypto::HmacSha256 hmac{crypto::BytesView(auth_key)};
-    std::vector<std::uint8_t> pkt(1500, 0x5a);
-    std::uint8_t mac[crypto::HmacSha256::kDigestSize];
-    const auto one_packet = [&] {
-      hmac.reset();
-      hmac.update(crypto::BytesView(pkt.data(), pkt.size()));
-      hmac.finish(mac);
-    };
-    crypto::sha256_backend::set_for_test(
-        crypto::sha256_backend::Kind::kScalar);
-    m.hmac_mbps_scalar = measure_mbps(pkt.size(), one_packet);
-    crypto::sha256_backend::set_for_test(crypto::sha256_backend::Kind::kAuto);
-    m.hmac_mbps = measure_mbps(pkt.size(), one_packet);
-
-    // Multi-buffer: lane_width() independent 1500-byte ICVs per pass, the
-    // shape protect_batch feeds it.
-    const std::size_t lanes = crypto::shamb::lane_width();
-    std::vector<std::vector<std::uint8_t>> msgs(
-        lanes, std::vector<std::uint8_t>(1500, 0x5a));
-    std::vector<std::array<std::uint8_t, 32>> tags(lanes);
-    std::vector<crypto::HmacSha256Mb::Job> jobs(lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      jobs[l] = {msgs[l].data(), msgs[l].size(), tags[l].data()};
-    }
-    const crypto::HmacSha256Mb mb{crypto::BytesView(auth_key)};
-    m.hmac_mb_mbps = measure_mbps(lanes * pkt.size(),
-                                  [&] { mb.compute(jobs.data(), lanes); });
-  }
-  {
-    const crypto::Bytes payload(1024, 0x5a);
-    // The legacy yardstick measures the seed's datapath, which predates
-    // the SHA-NI dispatch — pin its compress to scalar so the "before"
-    // number doesn't accelerate out from under the comparison.
-    LegacyEspProtect legacy(0xabcd1234, key, auth_key);
-    crypto::sha256_backend::set_for_test(
-        crypto::sha256_backend::Kind::kScalar);
-    m.esp_protect_ops_before = measure_ops([&] {
-      const crypto::Bytes wire =
-          legacy.protect(6, hip::EspSa::kModeHit, payload);
-      (void)wire;
-    });
-    crypto::sha256_backend::set_for_test(crypto::sha256_backend::Kind::kAuto);
-    hip::EspSa sa(0xabcd1234, hip::EspSuite::kAes128CtrSha256, key, auth_key);
-    m.esp_protect_ops_after = measure_ops([&] {
-      const crypto::Bytes wire = sa.protect(6, hip::EspSa::kModeHit, payload);
-      (void)wire;
-    });
-
-    // Batched: one event tick's worth of packets through protect_batch,
-    // ICVs scheduled across SIMD lanes. Reported as a per-packet rate so
-    // it compares directly with the single-buffer numbers above.
-    constexpr std::size_t kBatch = 16;
-    hip::EspSa batch_sa(0xabcd1234, hip::EspSuite::kAes128CtrSha256, key,
-                        auth_key);
-    std::array<hip::EspSa::ProtectJob, kBatch> jobs;
-    const double batches_per_sec = measure_ops([&] {
-      for (auto& job : jobs) {
-        job = {6, hip::EspSa::kModeHit, crypto::Buffer(payload, 26, 28)};
-      }
-      batch_sa.protect_batch(std::span(jobs));
-    });
-    m.esp_protect_batch_ops = batches_per_sec * kBatch;
-  }
-  return m;
-}
 
 }  // namespace hipcloud::bench

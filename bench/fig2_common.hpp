@@ -6,13 +6,15 @@
 // own seed, so the numbers are identical to a serial run — and the
 // results land in a machine-readable BENCH_fig2*.json next to the table.
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "core/testbed.hpp"
-#include "crypto_micro.hpp"
 #include "sweep.hpp"
 
 namespace hipcloud::bench {
@@ -33,14 +35,23 @@ struct Fig2Row {
 struct Fig2Report {
   std::vector<Fig2Row> rows;
   double wall_seconds;
+  /// Process user+sys CPU seconds over the same span as wall_seconds.
+  double cpu_seconds;
   unsigned threads;
-  CryptoMicro crypto;
   /// Simulator-substrate counters merged across every world in the sweep.
   sim::PerfCounters sim_perf;
   /// Per-mode latency distributions merged (Summary::merge) across every
   /// client count in the sweep: [basic, hip, ssl, hip_accel].
   sim::Summary latency_all[4];
 };
+
+/// Process user+sys CPU seconds so far.
+inline double process_cpu_seconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
+}
 
 inline void write_fig2_json(const Fig2Report& r, const char* path,
                             const char* title) {
@@ -52,7 +63,10 @@ inline void write_fig2_json(const Fig2Report& r, const char* path,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"title\": \"%s\",\n", title);
   std::fprintf(f, "  \"wall_clock_seconds\": %.3f,\n", r.wall_seconds);
+  std::fprintf(f, "  \"cpu_seconds\": %.3f,\n", r.cpu_seconds);
   std::fprintf(f, "  \"sweep_threads\": %u,\n", r.threads);
+  std::fprintf(f, "  \"host_cpus\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"rows\": [\n");
   for (std::size_t i = 0; i < r.rows.size(); ++i) {
     const auto& row = r.rows[i];
@@ -67,24 +81,6 @@ inline void write_fig2_json(const Fig2Report& r, const char* path,
                  i + 1 < r.rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"crypto_micro\": {\n");
-  std::fprintf(f, "    \"aes_hardware\": %s,\n",
-               r.crypto.aes_hw ? "true" : "false");
-  std::fprintf(f, "    \"sha256_backend\": \"%s\",\n", r.crypto.sha_backend);
-  std::fprintf(f, "    \"sha256_mb_lanes\": %zu,\n", r.crypto.sha_mb_lanes);
-  std::fprintf(f, "    \"aes128_ctr_mbps\": {\"before\": %.1f, \"after\": %.1f},\n",
-               r.crypto.aes_ctr_mbps_before, r.crypto.aes_ctr_mbps_after);
-  std::fprintf(f,
-               "    \"hmac_sha256_mbps\": {\"scalar\": %.1f, \"after\": %.1f, "
-               "\"multibuffer\": %.1f},\n",
-               r.crypto.hmac_mbps_scalar, r.crypto.hmac_mbps,
-               r.crypto.hmac_mb_mbps);
-  std::fprintf(f,
-               "    \"esp_protect_ops_per_sec\": {\"before\": %.0f, "
-               "\"after\": %.0f, \"batched\": %.0f}\n",
-               r.crypto.esp_protect_ops_before, r.crypto.esp_protect_ops_after,
-               r.crypto.esp_protect_batch_ops);
-  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"sim_perf\": {\n");
   r.sim_perf.write_json_fields(f, "    ");
   std::fprintf(f, "\n  },\n");
@@ -133,6 +129,7 @@ inline Fig2Report run_fig2(const cloud::ProviderProfile& provider,
   std::printf("Sweeping %zu (clients, mode) worlds on %u thread%s...\n\n",
               kJobs, threads, threads == 1 ? "" : "s");
 
+  const double cpu_start = process_cpu_seconds();
   // hipcheck:allow(wall-clock): wall-time of the parallel sweep, reporting only
   const auto start = std::chrono::steady_clock::now();
   // Job i = (clients index, mode index); each job builds its own Testbed
@@ -157,6 +154,7 @@ inline Fig2Report run_fig2(const cloud::ProviderProfile& provider,
       // hipcheck:allow(wall-clock): wall-time of the parallel sweep, reporting only
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  const double cpu = process_cpu_seconds() - cpu_start;
 
   std::printf("%8s %10s %10s %10s %10s   %s\n", "clients", "basic", "hip",
               "ssl", "hip_accel", "(mean latency ms: basic/hip/ssl/accel)");
@@ -174,8 +172,8 @@ inline Fig2Report run_fig2(const cloud::ProviderProfile& provider,
                 row.lat_basic, row.lat_hip, row.lat_ssl, row.lat_hip_accel);
     rows.push_back(row);
   }
-  std::printf("\nSweep wall-clock: %.1f s (%u thread%s)\n", wall, threads,
-              threads == 1 ? "" : "s");
+  std::printf("\nSweep wall-clock: %.1f s, CPU: %.1f s (%u thread%s)\n", wall,
+              cpu, threads, threads == 1 ? "" : "s");
 
   // Shape checks against the paper's qualitative findings.
   bool basic_highest = true, comparable = true;
@@ -213,7 +211,7 @@ inline Fig2Report run_fig2(const cloud::ProviderProfile& provider,
       mark(basic_highest), mark(comparable), mark(hip_slightly_below),
       mark(basic_surges), mark(accel_dominates), mark(accel_closes_gap));
 
-  Fig2Report report{std::move(rows), wall, threads, {}, {}, {}};
+  Fig2Report report{std::move(rows), wall, cpu, threads, {}, {}};
   for (std::size_t i = 0; i < results.size(); ++i) {
     report.sim_perf.merge(results[i].perf);
     report.latency_all[i % 4].merge(results[i].latency);
@@ -225,24 +223,6 @@ inline Fig2Report run_fig2(const cloud::ProviderProfile& provider,
         report.sim_perf.pool_misses_per_packet(),
         static_cast<unsigned long long>(report.sim_perf.packets_delivered),
         100.0 * report.sim_perf.pool_hit_rate());
-  }
-  if (json_path) {
-    std::printf("Crypto micro-bench (for the JSON perf trajectory)...\n");
-    report.crypto = run_crypto_micro();
-    std::printf(
-        "  AES-128-CTR: %.0f MB/s before (S-box ref) -> %.0f MB/s after "
-        "(%s)\n"
-        "  HMAC-SHA256 (1500 B): %.0f MB/s scalar -> %.0f MB/s (%s) -> "
-        "%.0f MB/s multi-buffer x%zu\n"
-        "  ESP protect (1 KiB): %.0f ops/s before -> %.0f ops/s after -> "
-        "%.0f ops/s batched\n\n",
-        report.crypto.aes_ctr_mbps_before, report.crypto.aes_ctr_mbps_after,
-        report.crypto.aes_hw ? "AES-NI" : "T-tables",
-        report.crypto.hmac_mbps_scalar, report.crypto.hmac_mbps,
-        report.crypto.sha_backend, report.crypto.hmac_mb_mbps,
-        report.crypto.sha_mb_lanes, report.crypto.esp_protect_ops_before,
-        report.crypto.esp_protect_ops_after,
-        report.crypto.esp_protect_batch_ops);
     write_fig2_json(report, json_path, title);
   }
   return report;

@@ -2,7 +2,8 @@
 # hipcheck driver: every quality gate the tree ships, one flag per pass.
 #
 #   scripts/check.sh              # default gates: normal + ASan+UBSan tier-1
-#   scripts/check.sh --fast       # normal build only
+#   scripts/check.sh --fast       # normal build only (tier-1 tests plus
+#                                 # perfbench's own unit tests)
 #   scripts/check.sh --lint       # hipcloud_lint over src/ bench/ tests/ + self-test
 #   scripts/check.sh --flow       # hipcloud_flow whole-tree analysis + self-test
 #   scripts/check.sh --flow-ipa   # --flow plus the interprocedural gates:
@@ -98,6 +99,10 @@ if [[ "$run_normal" == 1 ]]; then
     configure_build "$root/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo
   run "tier-1: normal tests" \
     ctest --test-dir "$root/build" -LE bench -j "$tjobs" --output-on-failure
+  # The benchmark's statistics and pin checks; one test compares
+  # perfbench/pins.json with the checked-in BENCH_fig2.json rows.
+  run "tier-1: perfbench unit tests" \
+    python3 -B -m unittest discover -s "$root/perfbench/tests"
 fi
 
 if [[ "$run_lint" == 1 ]]; then

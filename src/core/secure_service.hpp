@@ -78,7 +78,7 @@ class SecureService {
   hip::HipDaemon* web_hip(std::size_t i) { return web_hips_.at(i).get(); }
   hip::HipDaemon* db_hip() { return db_hip_.get(); }
 
-  /// Aggregate ESP packets seen by all HIP daemons (HIP mode only).
+  /// Aggregate ESP packets sent by all HIP daemons (HIP mode only).
   std::uint64_t total_esp_packets() const;
 
  private:

@@ -46,4 +46,10 @@ Bytes HmacDrbg::generate(std::size_t n) {
 
 void HmacDrbg::reseed(BytesView input) { update(input); }
 
+Bytes HmacDrbg::state() const {
+  Bytes s = key_;
+  s.insert(s.end(), v_.begin(), v_.end());
+  return s;
+}
+
 }  // namespace hipcloud::crypto

@@ -22,6 +22,10 @@ class HmacDrbg {
   /// Mix additional entropy/state into the generator.
   void reseed(BytesView input);
 
+  /// The whole generator state, K || V: two generators with equal state
+  /// produce the same output from here on.
+  Bytes state() const;
+
  private:
   void update(BytesView provided);
 

@@ -36,7 +36,9 @@ struct RsaKeyPair {
 };
 
 /// Generate an RSA keypair with modulus of `bits` (e = 65537). Determinism
-/// follows the DRBG, so identical seeds yield identical keys.
+/// follows the DRBG, so identical seeds yield identical keys. Each distinct
+/// (DRBG state, bits) is generated once per process; a repeat returns the
+/// same keys and advances `drbg` exactly as the first call did.
 RsaKeyPair rsa_generate(HmacDrbg& drbg, std::size_t bits);
 
 /// PKCS#1 v1.5 signature over SHA-256(message). Returns modulus-width bytes.

@@ -47,6 +47,17 @@ TEST(HmacDrbg, SplitRequestsMatchSingleRequest) {
   EXPECT_NE(two, one);
 }
 
+TEST(HmacDrbg, StateTracksTheStream) {
+  HmacDrbg a(12, "x");
+  HmacDrbg b(12, "x");
+  EXPECT_EQ(a.state().size(), 64u);
+  EXPECT_EQ(a.state(), b.state());
+  a.generate(1);
+  EXPECT_NE(a.state(), b.state());
+  b.generate(1);
+  EXPECT_EQ(a.state(), b.state());
+}
+
 TEST(HmacDrbg, ReseedChangesOutput) {
   HmacDrbg a(11, "x");
   HmacDrbg b(11, "x");

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "crypto/drbg.hpp"
+#include "crypto/sha256.hpp"
 
 namespace hipcloud::crypto {
 namespace {
@@ -102,10 +106,38 @@ TEST_F(RsaTest, PublicKeyDecodeRejectsTruncated) {
   EXPECT_THROW(RsaPublicKey::decode(bad), std::runtime_error);
 }
 
+// Golden vectors: SHA-256 of the public key encoding, then the DRBG's next
+// 32 bytes. A second generation in one process is a memo hit, so
+// determinism is pinned against fixed values rather than a rerun.
+struct KeyVector {
+  std::uint64_t seed;
+  const char* personalization;
+  std::size_t bits;
+  const char* pub_sha256;
+  const char* next_drbg_bytes;
+};
+
+void expect_golden(const KeyVector& v) {
+  HmacDrbg drbg(v.seed, v.personalization);
+  const RsaKeyPair kp = rsa_generate(drbg, v.bits);
+  EXPECT_EQ(kp.pub.n.bit_length(), v.bits);
+  EXPECT_EQ(to_hex(Sha256::digest(kp.pub.encode())), v.pub_sha256);
+  EXPECT_EQ(to_hex(drbg.generate(32)), v.next_drbg_bytes);
+}
+
 TEST(RsaGenerate, DeterministicFromSeed) {
-  HmacDrbg a(5, "same");
-  HmacDrbg b(5, "same");
-  EXPECT_EQ(rsa_generate(a, 512).pub.n, rsa_generate(b, 512).pub.n);
+  expect_golden(
+      {5, "same", 512,
+       "35e942edcb447eeac2415a62ba5fbfefe5525eb0c0ef235ba162ea4fb80696bc",
+       "a97de600fcfe535ce65d1ac5db561713945948e364dca81b13aaf24f3a1982c6"});
+}
+
+// The load balancer's host identity in every Fig. 2 world (seed 1).
+TEST(RsaGenerate, Fig2IdentityMatchesGolden) {
+  expect_golden(
+      {1, "hi:lb", 1024,
+       "c132fd0e24504605b5c8ffce84e59948a805e5607a229b9e6788082488afeefc",
+       "046edd9cbad347ed10cda28dfba1710f45640e4993bcee72d564e05f19c1fb9d"});
 }
 
 TEST(RsaGenerate, RejectsTinyModulus) {
@@ -121,6 +153,67 @@ TEST(RsaGenerate, SignatureWorksAcrossKeySizes) {
     const Bytes msg = to_bytes("msg");
     EXPECT_TRUE(rsa_verify_pkcs1(kp.pub, msg, rsa_sign_pkcs1(kp.priv, msg)))
         << bits;
+  }
+}
+
+// A key pair plus the DRBG bytes that follow it: everything a caller can
+// observe of one rsa_generate call.
+struct Generation {
+  RsaKeyPair kp;
+  Bytes next;
+};
+
+Generation generate_and_draw(std::uint64_t seed,
+                             const char* personalization, std::size_t bits) {
+  HmacDrbg drbg(seed, personalization);
+  RsaKeyPair kp = rsa_generate(drbg, bits);
+  return {std::move(kp), drbg.generate(32)};
+}
+
+void expect_same(const Generation& a, const Generation& b) {
+  EXPECT_EQ(a.kp.pub, b.kp.pub);
+  EXPECT_EQ(a.kp.priv.d, b.kp.priv.d);
+  EXPECT_EQ(a.kp.priv.p, b.kp.priv.p);
+  EXPECT_EQ(a.kp.priv.q, b.kp.priv.q);
+  EXPECT_EQ(a.kp.priv.qinv, b.kp.priv.qinv);
+  EXPECT_EQ(a.next, b.next);
+}
+
+TEST(RsaMemo, WarmHitMatchesColdResult) {
+  const Generation cold = generate_and_draw(21, "memo-warm", 512);
+  const Generation warm = generate_and_draw(21, "memo-warm", 512);
+  expect_same(cold, warm);
+  const Bytes msg = to_bytes("memo");
+  EXPECT_TRUE(
+      rsa_verify_pkcs1(cold.kp.pub, msg, rsa_sign_pkcs1(warm.kp.priv, msg)));
+}
+
+TEST(RsaMemo, DistinctInputsNeverShareAnEntry) {
+  const Generation base = generate_and_draw(22, "memo-a", 512);
+  const Generation other_name = generate_and_draw(22, "memo-b", 512);
+  const Generation other_bits = generate_and_draw(22, "memo-a", 768);
+  EXPECT_NE(base.kp.pub, other_name.kp.pub);
+  EXPECT_NE(base.next, other_name.next);
+  EXPECT_EQ(other_bits.kp.pub.n.bit_length(), 768u);
+  EXPECT_NE(base.kp.pub, other_bits.kp.pub);
+  EXPECT_NE(base.next, other_bits.next);
+  // The neighbours left the first entry alone.
+  expect_same(base, generate_and_draw(22, "memo-a", 512));
+}
+
+TEST(RsaMemo, ConcurrentRequestsShareOneKey) {
+  constexpr int kThreads = 4;
+  std::vector<Generation> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&results, i] {
+      results[static_cast<std::size_t>(i)] =
+          generate_and_draw(23, "memo-threads", 512);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int i = 1; i < kThreads; ++i) {
+    expect_same(results[0], results[static_cast<std::size_t>(i)]);
   }
 }
 
