@@ -83,8 +83,9 @@ ChaosRun run_chaos(bool quick, unsigned workers) {
   // event on the shard that owns the VM's rack, so it lands at the same
   // virtual instant regardless of worker count.
   const sim::Time t0 = sim::kSecond;
-  for (std::size_t i = 0; i < service.web_count(); ++i) {
-    net::Link* link = service.web_vm(i)->guest_link();
+  const auto& webs = service.tiers().web_vms();
+  for (std::size_t i = 0; i < webs.size(); ++i) {
+    net::Link* link = webs[i]->guest_link();
     auto& loop = fabric.world().shard(service.web_rack(i)).loop();
     const sim::Time down_at =
         t0 + sim::kSecond + static_cast<sim::Duration>(i) * kFlapGap;
@@ -105,11 +106,10 @@ ChaosRun run_chaos(bool quick, unsigned workers) {
   out.ejections = proxy.ejections();
   out.revivals = proxy.revivals();
   out.retries = proxy.retries();
-  for (std::size_t i = 0; i < service.web_count(); ++i) {
+  for (std::size_t i = 0; i < webs.size(); ++i) {
     if (!proxy.healthy(i)) out.all_flapped = false;  // never revived
   }
-  if (out.ejections < service.web_count() ||
-      out.revivals < service.web_count()) {
+  if (out.ejections < webs.size() || out.revivals < webs.size()) {
     out.all_flapped = false;
   }
   return out;

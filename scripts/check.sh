@@ -31,6 +31,11 @@
 #                                 # full sharded chaos drill (guest-link
 #                                 # flaps masked with zero client errors),
 #                                 # regenerating BENCH_shard_chaos.json
+#   scripts/check.sh --pins       # the benchmark's seed-1 pins: each
+#                                 # perfbench workload for one short run,
+#                                 # failing if a simulated output (world
+#                                 # hash, Fig. 2 rows, request counts,
+#                                 # path numbers) leaves perfbench/pins.json
 #   scripts/check.sh --all        # every pass above
 #
 # Flags compose (`--lint --tsan` runs exactly those two passes). Every
@@ -45,7 +50,8 @@ jobs="${CMAKE_BUILD_PARALLEL_LEVEL:-$(nproc 2>/dev/null || echo 2)}"
 tjobs="${CTEST_PARALLEL_LEVEL:-$(nproc 2>/dev/null || echo 2)}"
 
 run_normal=0 run_san=0 run_lint=0 run_flow=0 run_flow_ipa=0 \
-  run_flow_wire=0 run_tidy=0 run_audit=0 run_tsan=0 run_bench=0 run_scale=0
+  run_flow_wire=0 run_tidy=0 run_audit=0 run_tsan=0 run_bench=0 run_scale=0 \
+  run_pins=0
 if [[ $# -eq 0 ]]; then
   run_normal=1 run_san=1
 fi
@@ -61,12 +67,14 @@ for arg in "$@"; do
     --tsan)  run_tsan=1 ;;
     --bench-smoke) run_bench=1 ;;
     --scale) run_scale=1 ;;
+    --pins)  run_pins=1 ;;
     --all)   run_normal=1 run_san=1 run_lint=1 run_flow=1 run_flow_ipa=1 \
              run_flow_wire=1 run_tidy=1 run_audit=1 run_tsan=1 run_bench=1 \
-             run_scale=1 ;;
+             run_scale=1 run_pins=1 ;;
     *)
       echo "usage: $0 [--fast] [--lint] [--flow] [--flow-ipa] [--flow-wire]" \
-           "[--tidy] [--audit] [--tsan] [--bench-smoke] [--scale] [--all]" >&2
+           "[--tidy] [--audit] [--tsan] [--bench-smoke] [--scale] [--pins]" \
+           "[--all]" >&2
       exit 2
       ;;
   esac
@@ -250,6 +258,18 @@ if [[ "$run_scale" == 1 ]]; then
     "cd '$root' && '$root/build/bench/fig_scale'"
   run "scale: sharded chaos drill (full)" bash -c \
     "cd '$root' && '$root/build/bench/fig_shard_chaos'"
+fi
+
+if [[ "$run_pins" == 1 ]]; then
+  # The simulated outputs perfbench pins at seed 1: the 32 Fig. 2 worlds,
+  # the 64-client sharded RUBiS world and the four Fig. 3 paths. run.py
+  # builds its benchmark binary into .bench_build/, checks every repetition
+  # against perfbench/pins.json and exits nonzero on any difference.
+  for workload in fig2_sweep sharded_rubis path_bulk; do
+    run "pins: $workload (seed 1)" bash -c \
+      "cd '$root' && python3 perfbench/run.py --workload $workload \
+         --seed 1 --seconds 1"
+  done
 fi
 
 echo

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "crypto/drbg.hpp"
+#include "core/secure_service.hpp"
 
 namespace hipcloud::core {
 
@@ -28,13 +28,6 @@ const char* PathLab::path_name(Path path) {
   return "?";
 }
 
-namespace {
-hip::HostIdentity make_identity(std::uint64_t seed, const char* name) {
-  crypto::HmacDrbg drbg(seed, std::string("pathlab:") + name);
-  return hip::HostIdentity::generate(drbg, hip::HiAlgorithm::kRsa, 1024);
-}
-}  // namespace
-
 PathLab::PathLab(Config config) : config_(std::move(config)) {
   net_ = std::make_unique<net::Network>(config_.seed);
   cloud_ = std::make_unique<cloud::Cloud>(*net_, config_.provider, 1);
@@ -58,9 +51,9 @@ PathLab::PathLab(Config config) : config_(std::move(config)) {
   // Order matters: HIP shims first, Teredo shims second, so ESP packets
   // towards Teredo locators are tunnelled.
   hip1_ = std::make_unique<hip::HipDaemon>(
-      vm1_->node(), make_identity(config_.seed, "vm1"), config_.hip);
+      vm1_->node(), make_identity(config_.seed, "pathlab:vm1"), config_.hip);
   hip2_ = std::make_unique<hip::HipDaemon>(
-      vm2_->node(), make_identity(config_.seed, "vm2"), config_.hip);
+      vm2_->node(), make_identity(config_.seed, "pathlab:vm2"), config_.hip);
 
   udp1_ = std::make_unique<net::UdpStack>(vm1_->node());
   udp2_ = std::make_unique<net::UdpStack>(vm2_->node());

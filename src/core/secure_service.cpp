@@ -1,6 +1,7 @@
 #include "core/secure_service.hpp"
 
 #include "crypto/drbg.hpp"
+#include "sim/check.hpp"
 
 namespace hipcloud::core {
 
@@ -20,59 +21,49 @@ const char* mode_name(SecurityMode mode) {
   return "?";
 }
 
-namespace {
-
-hip::HostIdentity make_identity(std::uint64_t seed, const std::string& name) {
-  crypto::HmacDrbg drbg(seed, "hi:" + name);
+hip::HostIdentity make_identity(std::uint64_t seed, const std::string& label) {
+  crypto::HmacDrbg drbg(seed, label);
   return hip::HostIdentity::generate(drbg, hip::HiAlgorithm::kRsa, 1024);
 }
 
-}  // namespace
-
-SecureService::SecureService(net::Network& net, cloud::Cloud& cloud,
-                             net::Node* lb_node, DeploymentConfig config)
-    : net_(net), cloud_(cloud), lb_node_(lb_node), config_(config) {
-  // --- launch the VM fleet -------------------------------------------------
-  for (int i = 0; i < config_.web_servers; ++i) {
-    web_vms_.push_back(
-        cloud_.launch("web" + std::to_string(i), config_.web_type, "acme"));
-  }
-  db_vm_ = cloud_.launch("db", config_.db_type, "acme");
+SecureService::SecureService(Placement placement, DeploymentConfig config)
+    : placement_(std::move(placement)), config_(std::move(config)) {
+  HIPCLOUD_CHECK(placement_.web.size() ==
+                     static_cast<std::size_t>(config_.web_servers),
+                 "placement must carry config.web_servers web VMs");
+  const std::size_t webs = placement_.web.size();
 
   // --- HIP daemons (before anything opens sockets) --------------------------
   if (config_.mode == SecurityMode::kHip) {
+    const auto identity = [&](const std::string& name) {
+      return make_identity(config_.seed, placement_.id_prefix + name);
+    };
     lb_hip_ = std::make_unique<hip::HipDaemon>(
-        lb_node_, make_identity(config_.seed, "lb"), config_.hip);
-    for (int i = 0; i < config_.web_servers; ++i) {
+        placement_.proxy, identity(placement_.proxy_id), config_.hip);
+    for (std::size_t i = 0; i < webs; ++i) {
       web_hips_.push_back(std::make_unique<hip::HipDaemon>(
-          web_vms_[static_cast<std::size_t>(i)]->node(),
-          make_identity(config_.seed, "web" + std::to_string(i)),
+          placement_.web[i]->node(), identity("web" + std::to_string(i)),
           config_.hip));
     }
-    db_hip_ = std::make_unique<hip::HipDaemon>(
-        db_vm_->node(), make_identity(config_.seed, "db"), config_.hip);
+    db_hip_ = std::make_unique<hip::HipDaemon>(placement_.db->node(),
+                                               identity("db"), config_.hip);
 
     // Populate the "hip hosts files": LB <-> web, web <-> db.
-    for (int i = 0; i < config_.web_servers; ++i) {
-      auto& wh = *web_hips_[static_cast<std::size_t>(i)];
-      lb_hip_->add_peer(wh.hit(),
-                        IpAddr(web_vms_[static_cast<std::size_t>(i)]
-                                   ->private_ip()));
-      wh.add_peer(lb_hip_->hit(), *lb_node_->first_address(false));
-      wh.add_peer(db_hip_->hit(), IpAddr(db_vm_->private_ip()));
-      db_hip_->add_peer(wh.hit(),
-                        IpAddr(web_vms_[static_cast<std::size_t>(i)]
-                                   ->private_ip()));
+    for (std::size_t i = 0; i < webs; ++i) {
+      auto& wh = *web_hips_[i];
+      lb_hip_->add_peer(wh.hit(), IpAddr(placement_.web[i]->private_ip()));
+      wh.add_peer(lb_hip_->hit(), *placement_.proxy->first_address(false));
+      wh.add_peer(db_hip_->hit(), IpAddr(placement_.db->private_ip()));
+      db_hip_->add_peer(wh.hit(), IpAddr(placement_.web[i]->private_ip()));
     }
   }
 
   // --- TCP stacks -------------------------------------------------------------
-  lb_tcp_ = std::make_unique<net::TcpStack>(lb_node_);
-  for (int i = 0; i < config_.web_servers; ++i) {
-    web_tcp_.push_back(std::make_unique<net::TcpStack>(
-        web_vms_[static_cast<std::size_t>(i)]->node()));
+  lb_tcp_ = std::make_unique<net::TcpStack>(placement_.proxy);
+  for (cloud::Vm* vm : placement_.web) {
+    web_tcp_.push_back(std::make_unique<net::TcpStack>(vm->node()));
   }
-  db_tcp_ = std::make_unique<net::TcpStack>(db_vm_->node());
+  db_tcp_ = std::make_unique<net::TcpStack>(placement_.db->node());
 
   // --- TLS PKI (SSL scenario) --------------------------------------------------
   TransportConfig web_front;   // LB -> web
@@ -102,12 +93,11 @@ SecureService::SecureService(net::Network& net, cloud::Cloud& cloud,
     db_config.transport.tls_seed = config_.seed ^ 0xdb;
   }
   db_server_ = std::make_unique<apps::DatabaseServer>(
-      db_vm_->node(), db_tcp_.get(), 3306, db_config);
+      placement_.db->node(), db_tcp_.get(), 3306, db_config);
   apps::load_rubis_dataset(*db_server_, config_.dataset);
 
   // --- web tier ------------------------------------------------------------------
-  for (int i = 0; i < config_.web_servers; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
+  for (std::size_t i = 0; i < webs; ++i) {
     TransportConfig serve_cfg;  // how this web server accepts LB traffic
     TransportConfig db_cfg = db_transport;
     if (config_.mode == SecurityMode::kSsl) {
@@ -117,21 +107,21 @@ SecureService::SecureService(net::Network& net, cloud::Cloud& cloud,
       serve_cfg.tls.certificate =
           ca_->issue("web" + std::to_string(i), key.pub);
       serve_cfg.tls.private_key = key.priv;
-      serve_cfg.tls_seed = config_.seed ^ (0x3e0 + idx);
+      serve_cfg.tls_seed = config_.seed ^ (0x3e0 + i);
       db_cfg.tls.certificate.reset();  // client side needs only the CA
       db_cfg.tls.private_key.reset();
-      db_cfg.tls_seed = config_.seed ^ (0x7d0 + idx);
+      db_cfg.tls_seed = config_.seed ^ (0x7d0 + i);
     }
     web_servers_.push_back(std::make_unique<apps::RubisWebServer>(
-        web_vms_[idx]->node(), web_tcp_[idx].get(), 8080, serve_cfg,
-        db_endpoint_for_web(idx), db_cfg, config_.dataset));
+        placement_.web[i]->node(), web_tcp_[i].get(), 8080, serve_cfg,
+        db_endpoint_for_web(i), db_cfg, config_.dataset));
     web_servers_.back()->set_request_cycles(config_.web_request_cycles);
   }
 
   // --- load balancer ------------------------------------------------------------
   std::vector<Endpoint> backends;
-  for (int i = 0; i < config_.web_servers; ++i) {
-    backends.push_back(web_backend_endpoint(static_cast<std::size_t>(i)));
+  for (std::size_t i = 0; i < webs; ++i) {
+    backends.push_back(web_backend_endpoint(i));
   }
   TransportConfig lb_front;  // consumers: plain HTTP (paper's setup)
   TransportConfig lb_back = web_front;
@@ -139,8 +129,8 @@ SecureService::SecureService(net::Network& net, cloud::Cloud& cloud,
     lb_back.tls_seed = config_.seed ^ 0x1b;
   }
   proxy_ = std::make_unique<apps::ReverseProxy>(
-      lb_node_, lb_tcp_.get(), config_.frontend_port, lb_front, lb_back,
-      std::move(backends), apps::ReverseProxy::Balance::kRoundRobin,
+      placement_.proxy, lb_tcp_.get(), config_.frontend_port, lb_front,
+      lb_back, std::move(backends), apps::ReverseProxy::Balance::kRoundRobin,
       config_.proxy_health);
 }
 
@@ -152,7 +142,7 @@ Endpoint SecureService::web_backend_endpoint(std::size_t i) const {
     }
     return Endpoint{IpAddr(web_hit), 8080};
   }
-  return Endpoint{IpAddr(web_vms_[i]->private_ip()), 8080};
+  return Endpoint{IpAddr(placement_.web[i]->private_ip()), 8080};
 }
 
 Endpoint SecureService::db_endpoint_for_web(std::size_t i) const {
@@ -163,7 +153,7 @@ Endpoint SecureService::db_endpoint_for_web(std::size_t i) const {
     }
     return Endpoint{IpAddr(db_hit), 3306};
   }
-  return Endpoint{IpAddr(db_vm_->private_ip()), 3306};
+  return Endpoint{IpAddr(placement_.db->private_ip()), 3306};
 }
 
 void SecureService::prepare() {
@@ -177,7 +167,8 @@ void SecureService::prepare() {
 }
 
 Endpoint SecureService::frontend() const {
-  return Endpoint{*lb_node_->first_address(false), config_.frontend_port};
+  return Endpoint{*placement_.proxy->first_address(false),
+                  config_.frontend_port};
 }
 
 std::uint64_t SecureService::total_esp_packets() const {

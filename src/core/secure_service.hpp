@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/reverse_proxy.hpp"
@@ -19,33 +20,52 @@ const char* mode_name(SecurityMode mode);
 /// paper's configuration, with its extra translation cost) or by HIT.
 enum class HipAddressing { kLsi, kHit };
 
-struct DeploymentConfig {
+/// The RSA-1024 host identity of every HIP node src/core builds, drawn
+/// from a DRBG personalised by (seed, label).
+hip::HostIdentity make_identity(std::uint64_t seed, const std::string& label);
+
+/// Knobs of the Fig. 1 service that mean the same on every substrate.
+struct ServiceConfig {
   SecurityMode mode = SecurityMode::kHip;
   HipAddressing hip_addressing = HipAddressing::kLsi;
-  int web_servers = 3;
-  cloud::InstanceType web_type = cloud::InstanceType::micro();
-  cloud::InstanceType db_type = cloud::InstanceType::large();
-  bool db_query_cache = false;
   apps::RubisConfig dataset;
   hip::HipConfig hip;
   /// Frontend load-balancer failure masking (health checks + retry).
   apps::ReverseProxy::HealthConfig proxy_health;
   std::uint64_t seed = 1;
   std::uint16_t frontend_port = 80;
-
-  /// --- calibration (see EXPERIMENTS.md) -------------------------------
-  /// Web-tier cycles per dynamic request (RUBiS PHP-style page logic).
+  /// Web-tier cycles per dynamic request (RUBiS PHP-style page logic;
+  /// see EXPERIMENTS.md).
   double web_request_cycles = 5.25e6;
-  /// Database cost model (cycles).
+};
+
+/// What one SecureService runs: the shared knobs plus the web-tier size
+/// and the database cost model. The defaults are the testbed's Fig. 2
+/// calibration; ShardedService fills in its own values.
+struct DeploymentConfig : ServiceConfig {
+  int web_servers = 3;
+  bool db_query_cache = false;
+  /// Database cost model (cycles; see EXPERIMENTS.md).
   double db_base_cycles = 2.0e6;
   double db_per_row_cycles = 20e3;
   double db_per_byte_cycles = 20.0;
   double db_cache_hit_cycles = 100e3;
 };
 
-/// The paper's Figure 1 deployment: a reverse HTTP proxy / load balancer
-/// outside the cloud fronting `web_servers` RUBiS web VMs that share one
-/// database VM, with every intra-cloud hop secured per `mode`:
+/// Where the tiers of one SecureService run. The substrate creates the
+/// nodes and VMs; the service only builds on them. Host identities are
+/// drawn with the labels `id_prefix + {proxy_id, "web<i>", "db"}`.
+struct Placement {
+  net::Node* proxy = nullptr;
+  std::vector<cloud::Vm*> web;
+  cloud::Vm* db = nullptr;
+  std::string id_prefix;
+  std::string proxy_id;
+};
+
+/// The paper's Figure 1 service: a reverse HTTP proxy / load balancer
+/// fronting RUBiS web VMs that share one database VM, with every
+/// intra-cloud hop secured per `mode`:
 ///
 ///  * kBasic — plain TCP between all tiers (no security);
 ///  * kHip   — HIP daemons on the LB and every VM; the proxy reaches web
@@ -55,12 +75,15 @@ struct DeploymentConfig {
 ///  * kSsl   — TLS on both intra-cloud hops (the OpenVPN/stunnel-style
 ///             baseline the paper compares against).
 ///
-/// The returned service is ready once `prepare()` has run to completion
-/// (it pre-establishes HIP associations / warms nothing else).
+/// This is the only code that builds the tiers. `Testbed` places them on
+/// one `cloud::Cloud`, `ShardedService` across the racks of a
+/// `cloud::ShardedFabric`. The service is ready once `prepare()` has run
+/// to completion (it pre-establishes HIP associations / warms nothing
+/// else).
 class SecureService {
  public:
-  SecureService(net::Network& net, cloud::Cloud& cloud, net::Node* lb_node,
-                DeploymentConfig config);
+  /// `config.web_servers` must equal `placement.web.size()`.
+  SecureService(Placement placement, DeploymentConfig config);
 
   /// Kick off HIP BEX pre-establishment (no-op in other modes). Run the
   /// event loop afterwards to completion or until quiescent.
@@ -72,8 +95,8 @@ class SecureService {
   const DeploymentConfig& config() const { return config_; }
   apps::ReverseProxy& proxy() { return *proxy_; }
   apps::DatabaseServer& database() { return *db_server_; }
-  const std::vector<cloud::Vm*>& web_vms() const { return web_vms_; }
-  cloud::Vm* db_vm() { return db_vm_; }
+  const std::vector<cloud::Vm*>& web_vms() const { return placement_.web; }
+  cloud::Vm* db_vm() { return placement_.db; }
   hip::HipDaemon* lb_hip() { return lb_hip_.get(); }
   hip::HipDaemon* web_hip(std::size_t i) { return web_hips_.at(i).get(); }
   hip::HipDaemon* db_hip() { return db_hip_.get(); }
@@ -85,13 +108,8 @@ class SecureService {
   net::Endpoint web_backend_endpoint(std::size_t i) const;
   net::Endpoint db_endpoint_for_web(std::size_t i) const;
 
-  net::Network& net_;
-  cloud::Cloud& cloud_;
-  net::Node* lb_node_;
+  Placement placement_;
   DeploymentConfig config_;
-
-  std::vector<cloud::Vm*> web_vms_;
-  cloud::Vm* db_vm_ = nullptr;
 
   // Per-node stacks (order matters: HIP daemons install their shim before
   // TCP stacks are used, which is fine either way; Teredo would need to

@@ -3,24 +3,12 @@
 #include <algorithm>
 #include <string>
 
-#include "crypto/drbg.hpp"
 #include "sim/check.hpp"
 
 namespace hipcloud::core {
 
-using apps::TransportConfig;
-using net::Endpoint;
 using net::IpAddr;
 using net::Ipv4Addr;
-
-namespace {
-
-hip::HostIdentity make_identity(std::uint64_t seed, const std::string& name) {
-  crypto::HmacDrbg drbg(seed, "shsvc:" + name);
-  return hip::HostIdentity::generate(drbg, hip::HiAlgorithm::kRsa, 1024);
-}
-
-}  // namespace
 
 ShardedService::ShardedService(cloud::ShardedFabric& fabric,
                                ShardedServiceConfig config)
@@ -30,25 +18,15 @@ ShardedService::ShardedService(cloud::ShardedFabric& fabric,
                  "ShardedService needs a gateway rack, a web rack and a db "
                  "rack");
   HIPCLOUD_CHECK(racks <= 100, "client subnet octet is 100 + rack");
-  HIPCLOUD_CHECK(config_.mode != SecurityMode::kSsl,
-                 "sharded service supports kBasic and kHip only");
-
-  // --- tier placement: proxy on rack 0, web on 1..racks-2, db last ---------
-  for (std::size_t r = 1; r + 1 < racks; ++r) {
-    web_vms_.push_back(fabric_.rack_vms(r)[0].get());
-    web_racks_.push_back(r);
-  }
-  db_rack_ = racks - 1;
-  db_vm_ = fabric_.rack_vms(db_rack_)[0].get();
 
   // --- proxy node on the gateway rack (198.18.1.2) --------------------------
   net::Network& net0 = fabric_.world().shard(0);
   net::Node* gw0 = fabric_.rack(0).gateway();
-  proxy_node_ = net0.add_node("proxy", 16e9);
-  const auto patt = net0.connect(gw0, proxy_node_, config_.proxy_link);
+  net::Node* proxy = net0.add_node("proxy", 16e9);
+  const auto patt = net0.connect(gw0, proxy, config_.proxy_link);
   gw0->add_address(patt.iface_a, Ipv4Addr(198, 18, 1, 1));
-  proxy_node_->add_address(patt.iface_b, Ipv4Addr(198, 18, 1, 2));
-  proxy_node_->set_default_route(patt.iface_b);
+  proxy->add_address(patt.iface_b, Ipv4Addr(198, 18, 1, 2));
+  proxy->set_default_route(patt.iface_b);
   gw0->add_route(IpAddr(Ipv4Addr(198, 18, 1, 0)), 24, patt.iface_a);
 
   // --- per-rack client farms (198.18.<100+r>.2) -----------------------------
@@ -63,6 +41,7 @@ ShardedService::ShardedService(cloud::ShardedFabric& fabric,
     farm->set_default_route(att.iface_b);
     gw->add_route(IpAddr(Ipv4Addr(198, 18, octet, 0)), 24, att.iface_a);
     client_nodes_.push_back(farm);
+    client_tcp_.push_back(std::make_unique<net::TcpStack>(farm));
   }
 
   // --- consumer routes over the rack mesh -----------------------------------
@@ -77,91 +56,24 @@ ShardedService::ShardedService(cloud::ShardedFabric& fabric,
         fabric_.cross_iface(0, r));
   }
 
-  // --- HIP daemons (before any TCP stack opens sockets) ---------------------
-  if (config_.mode == SecurityMode::kHip) {
-    proxy_hip_ = std::make_unique<hip::HipDaemon>(
-        proxy_node_, make_identity(config_.seed, "proxy"), config_.hip);
-    for (std::size_t i = 0; i < web_vms_.size(); ++i) {
-      web_hips_.push_back(std::make_unique<hip::HipDaemon>(
-          web_vms_[i]->node(),
-          make_identity(config_.seed, "web" + std::to_string(i)),
-          config_.hip));
-    }
-    db_hip_ = std::make_unique<hip::HipDaemon>(
-        db_vm_->node(), make_identity(config_.seed, "db"), config_.hip);
-
-    for (std::size_t i = 0; i < web_vms_.size(); ++i) {
-      auto& wh = *web_hips_[i];
-      proxy_hip_->add_peer(wh.hit(), IpAddr(web_vms_[i]->private_ip()));
-      wh.add_peer(proxy_hip_->hit(), *proxy_node_->first_address(false));
-      wh.add_peer(db_hip_->hit(), IpAddr(db_vm_->private_ip()));
-      db_hip_->add_peer(wh.hit(), IpAddr(web_vms_[i]->private_ip()));
-    }
+  // --- the tiers: proxy on rack 0, web on 1..racks-2, db last --------------
+  Placement placement{proxy, {}, fabric_.rack_vms(racks - 1)[0].get(),
+                      "shsvc:", "proxy"};
+  for (std::size_t r = 1; r + 1 < racks; ++r) {
+    placement.web.push_back(fabric_.rack_vms(r)[0].get());
   }
-
-  // --- TCP stacks -----------------------------------------------------------
-  proxy_tcp_ = std::make_unique<net::TcpStack>(proxy_node_);
-  for (cloud::Vm* vm : web_vms_) {
-    web_tcp_.push_back(std::make_unique<net::TcpStack>(vm->node()));
-  }
-  db_tcp_ = std::make_unique<net::TcpStack>(db_vm_->node());
-  for (net::Node* farm : client_nodes_) {
-    client_tcp_.push_back(std::make_unique<net::TcpStack>(farm));
-  }
-
-  // --- database tier --------------------------------------------------------
-  apps::DbConfig db_config;
-  db_server_ = std::make_unique<apps::DatabaseServer>(
-      db_vm_->node(), db_tcp_.get(), 3306, db_config);
-  apps::load_rubis_dataset(*db_server_, config_.dataset);
-
-  // --- web tier -------------------------------------------------------------
-  for (std::size_t i = 0; i < web_vms_.size(); ++i) {
-    web_servers_.push_back(std::make_unique<apps::RubisWebServer>(
-        web_vms_[i]->node(), web_tcp_[i].get(), 8080, TransportConfig{},
-        db_endpoint_for_web(i), TransportConfig{}, config_.dataset));
-    web_servers_.back()->set_request_cycles(config_.web_request_cycles);
-  }
-
-  // --- proxy tier -----------------------------------------------------------
-  std::vector<Endpoint> backends;
-  for (std::size_t i = 0; i < web_vms_.size(); ++i) {
-    backends.push_back(web_backend_endpoint(i));
-  }
-  proxy_ = std::make_unique<apps::ReverseProxy>(
-      proxy_node_, proxy_tcp_.get(), config_.frontend_port, TransportConfig{},
-      TransportConfig{}, std::move(backends),
-      apps::ReverseProxy::Balance::kRoundRobin, config_.proxy_health);
-}
-
-Endpoint ShardedService::web_backend_endpoint(std::size_t i) const {
-  if (config_.mode == SecurityMode::kHip) {
-    const auto& web_hit = web_hips_[i]->hit();
-    if (config_.hip_addressing == HipAddressing::kLsi) {
-      return Endpoint{IpAddr(*proxy_hip_->lsi_for_peer(web_hit)), 8080};
-    }
-    return Endpoint{IpAddr(web_hit), 8080};
-  }
-  return Endpoint{IpAddr(web_vms_[i]->private_ip()), 8080};
-}
-
-Endpoint ShardedService::db_endpoint_for_web(std::size_t i) const {
-  if (config_.mode == SecurityMode::kHip) {
-    const auto& db_hit = db_hip_->hit();
-    if (config_.hip_addressing == HipAddressing::kLsi) {
-      return Endpoint{IpAddr(*web_hips_[i]->lsi_for_peer(db_hit)), 3306};
-    }
-    return Endpoint{IpAddr(db_hit), 3306};
-  }
-  return Endpoint{IpAddr(db_vm_->private_ip()), 3306};
-}
-
-void ShardedService::prepare() {
-  if (config_.mode != SecurityMode::kHip) return;
-  for (auto& wh : web_hips_) {
-    proxy_hip_->initiate(wh->hit());
-    wh->initiate(db_hip_->hit());
-  }
+  // Pinned (the sharded_rubis hash depends on it): the fabric's DB runs on
+  // the apps::DbConfig{} cost model, not the testbed's Fig. 2 calibration.
+  DeploymentConfig deployment;
+  static_cast<ServiceConfig&>(deployment) = config_;
+  deployment.web_servers = static_cast<int>(placement.web.size());
+  const apps::DbConfig db_costs;
+  deployment.db_base_cycles = db_costs.base_cycles;
+  deployment.db_per_row_cycles = db_costs.per_row_cycles;
+  deployment.db_per_byte_cycles = db_costs.per_byte_cycles;
+  deployment.db_cache_hit_cycles = db_costs.cache_hit_cycles;
+  tiers_ = std::make_unique<SecureService>(std::move(placement),
+                                           std::move(deployment));
 }
 
 void ShardedService::start_clients() {
@@ -174,7 +86,7 @@ void ShardedService::start_clients() {
     cfg.think_time = config_.think_time;
     cfg.duration = config_.duration;
     cfg.warmup = config_.client_warmup;
-    cfg.target = frontend();
+    cfg.target = tiers_->frontend();
     cfg.mix = config_.dataset;
     cfg.seed = config_.seed ^ ((r + 1) * 0x9e3779b97f4a7c15ULL);
     farms_.push_back(std::make_unique<apps::ClosedLoopClients>(
@@ -197,18 +109,6 @@ apps::LoadReport ShardedService::report() const {
         std::max(total.duration_seconds, rep.duration_seconds);
     total.latency_ms.merge(rep.latency_ms);
   }
-  return total;
-}
-
-Endpoint ShardedService::frontend() const {
-  return Endpoint{IpAddr(Ipv4Addr(198, 18, 1, 2)), config_.frontend_port};
-}
-
-std::uint64_t ShardedService::total_esp_packets() const {
-  std::uint64_t total = 0;
-  if (proxy_hip_) total += proxy_hip_->stats().esp_packets_out;
-  for (const auto& wh : web_hips_) total += wh->stats().esp_packets_out;
-  if (db_hip_) total += db_hip_->stats().esp_packets_out;
   return total;
 }
 

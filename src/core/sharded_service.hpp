@@ -3,34 +3,24 @@
 #include <memory>
 #include <vector>
 
-#include "apps/reverse_proxy.hpp"
-#include "apps/rubis.hpp"
 #include "apps/workload.hpp"
 #include "cloud/shard_fabric.hpp"
 #include "core/secure_service.hpp"
 
 namespace hipcloud::core {
 
-/// Deployment knobs for the sharded (multi-rack, parallel-world) version
-/// of the paper's Figure 1 service. Only kBasic and kHip are supported:
-/// the sharded runs exist to push real HIP/ESP traffic through the
-/// parallel simulator, and kBasic is their unsecured ablation baseline.
-struct ShardedServiceConfig {
-  SecurityMode mode = SecurityMode::kHip;
-  HipAddressing hip_addressing = HipAddressing::kLsi;
-  apps::RubisConfig dataset;
-  hip::HipConfig hip;
-  apps::ReverseProxy::HealthConfig proxy_health;
+/// Knobs of the sharded (multi-rack, parallel-world) placement of the
+/// paper's Figure 1 service; the shared ones live in ServiceConfig. The
+/// web tier is one VM per middle rack, so it has no size knob. Pinned,
+/// not tunable: the DB runs on the `apps::DbConfig{}` cost model and the
+/// host identities use `shsvc:` labels (`sharded_rubis` pins both).
+struct ShardedServiceConfig : ServiceConfig {
   /// Closed-loop virtual users per rack-local client farm.
   int clients_per_rack = 4;
   /// Measurement window of each farm (after its own warmup).
   sim::Duration duration = 2 * sim::kSecond;
   sim::Duration think_time = 0;
   sim::Duration client_warmup = sim::from_millis(200);
-  std::uint64_t seed = 1;
-  std::uint16_t frontend_port = 80;
-  /// Web/db calibration, same meaning as DeploymentConfig.
-  double web_request_cycles = 5.25e6;
   /// Client farm <-> rack gateway link.
   net::LinkConfig client_link{1e9, sim::from_micros(200),
                               sim::from_millis(100), 0.0, 1500};
@@ -39,7 +29,9 @@ struct ShardedServiceConfig {
                              sim::from_millis(100), 0.0, 1500};
 };
 
-/// The RUBiS + reverse-proxy service stretched across a ShardedFabric:
+/// The RUBiS + reverse-proxy service stretched across a ShardedFabric.
+/// The tiers are one SecureService; this class places them and adds the
+/// consumers:
 ///
 ///   * rack 0 is the gateway rack — the HAProxy-style proxy node hangs
 ///     off its gateway at 198.18.1.2 and fronts the whole service;
@@ -49,21 +41,20 @@ struct ShardedServiceConfig {
 ///   * every rack also carries a client farm node (198.18.<100+r>.2)
 ///     whose closed-loop users hit the frontend through the rack mesh.
 ///
-/// In kHip mode the proxy, web and db nodes run HIP daemons and address
-/// each other by LSI (or HIT), so every proxy->web and web->db request
-/// rides a BEET-ESP tunnel across the shard seams — real batched-crypto
-/// traffic through the parallel worlds. All application state lives on
-/// the owning rack's event loop; worker count never changes behaviour,
-/// so the fabric's determinism hash stays byte-identical at any worker
+/// In kHip mode every proxy->web and web->db request rides a BEET-ESP
+/// tunnel across the shard seams, in kSsl a TLS session — real crypto
+/// through the parallel worlds. All application state lives on the
+/// owning rack's event loop; worker count never changes behaviour, so
+/// the fabric's determinism hash stays byte-identical at any worker
 /// count with this service running.
 class ShardedService {
  public:
   ShardedService(cloud::ShardedFabric& fabric, ShardedServiceConfig config);
 
-  /// Kick off HIP BEX pre-establishment (no-op in kBasic). Run the
+  /// Kick off HIP BEX pre-establishment (no-op outside kHip). Run the
   /// fabric afterwards to let the associations complete before
   /// measuring.
-  void prepare();
+  void prepare() { tiers_->prepare(); }
 
   /// Schedule every rack's client farm. Farms start at each rack loop's
   /// current time; run the fabric past warmup+duration (plus drain
@@ -74,45 +65,26 @@ class ShardedService {
   /// the aggregate itself is deterministic).
   apps::LoadReport report() const;
 
-  net::Endpoint frontend() const;
   const ShardedServiceConfig& config() const { return config_; }
-  apps::ReverseProxy& proxy() { return *proxy_; }
-  std::size_t web_count() const { return web_vms_.size(); }
-  cloud::Vm* web_vm(std::size_t i) { return web_vms_[i]; }
+  /// The tiers: proxy, web VMs, DB and their daemons.
+  SecureService& tiers() { return *tiers_; }
+  apps::ReverseProxy& proxy() { return tiers_->proxy(); }
   /// Rack (= shard) hosting web server i — chaos runs schedule that
   /// VM's failure on this shard's loop.
-  std::size_t web_rack(std::size_t i) const { return web_racks_[i]; }
-  cloud::Vm* db_vm() { return db_vm_; }
+  std::size_t web_rack(std::size_t i) const { return i + 1; }
 
   /// Aggregate ESP packets sent by all HIP daemons (kHip only).
-  std::uint64_t total_esp_packets() const;
+  std::uint64_t total_esp_packets() const {
+    return tiers_->total_esp_packets();
+  }
 
  private:
-  net::Endpoint web_backend_endpoint(std::size_t i) const;
-  net::Endpoint db_endpoint_for_web(std::size_t i) const;
-
   cloud::ShardedFabric& fabric_;
   ShardedServiceConfig config_;
 
-  net::Node* proxy_node_ = nullptr;
   std::vector<net::Node*> client_nodes_;  // one per rack
-  std::vector<cloud::Vm*> web_vms_;
-  std::vector<std::size_t> web_racks_;
-  cloud::Vm* db_vm_ = nullptr;
-  std::size_t db_rack_ = 0;
-
-  std::unique_ptr<net::TcpStack> proxy_tcp_;
-  std::vector<std::unique_ptr<net::TcpStack>> web_tcp_;
-  std::unique_ptr<net::TcpStack> db_tcp_;
   std::vector<std::unique_ptr<net::TcpStack>> client_tcp_;
-
-  std::unique_ptr<hip::HipDaemon> proxy_hip_;
-  std::vector<std::unique_ptr<hip::HipDaemon>> web_hips_;
-  std::unique_ptr<hip::HipDaemon> db_hip_;
-
-  std::unique_ptr<apps::DatabaseServer> db_server_;
-  std::vector<std::unique_ptr<apps::RubisWebServer>> web_servers_;
-  std::unique_ptr<apps::ReverseProxy> proxy_;
+  std::unique_ptr<SecureService> tiers_;
 
   std::vector<std::unique_ptr<apps::ClosedLoopClients>> farms_;
   // Per-rack completion slots: farm_reports_[r] / farm_done_[r] are

@@ -1,5 +1,7 @@
 #include "core/testbed.hpp"
 
+#include <string>
+
 namespace hipcloud::core {
 
 using net::IpAddr;
@@ -32,7 +34,15 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
 
   cloud_->attach_external(inet_, config_.provider.gateway_link);
 
-  service_ = std::make_unique<SecureService>(*net_, *cloud_, lb_node_,
+  // The paper's fleet: t1.micro web VMs sharing one m1.large database.
+  Placement placement{lb_node_, {}, nullptr, "hi:", "lb"};
+  for (int i = 0; i < config_.deployment.web_servers; ++i) {
+    placement.web.push_back(cloud_->launch("web" + std::to_string(i),
+                                           cloud::InstanceType::micro(),
+                                           "acme"));
+  }
+  placement.db = cloud_->launch("db", cloud::InstanceType::large(), "acme");
+  service_ = std::make_unique<SecureService>(std::move(placement),
                                              config_.deployment);
   client_tcp_ = std::make_unique<net::TcpStack>(client_node_);
 

@@ -1,0 +1,87 @@
+// Absolute pins for both placements of the Fig. 1 service. A change in
+// how the tiers are built, such as a host-identity label or the DB cost
+// model, moves the determinism hash while every behavioural test still
+// passes; these values catch it in tier-1. The hash folds the event
+// stream, not payload bytes, so a change that only alters ciphertext
+// (a TLS seed, say) is out of its reach.
+
+#include <gtest/gtest.h>
+
+#include "core/sharded_service.hpp"
+#include "core/testbed.hpp"
+
+namespace hipcloud::core {
+namespace {
+
+struct Golden {
+  SecurityMode mode;
+  std::uint64_t hash;
+  std::uint64_t completed;
+  std::uint64_t esp;
+};
+
+std::string golden_name(const ::testing::TestParamInfo<Golden>& name_info) {
+  return mode_name(name_info.param.mode);
+}
+
+class TestbedGolden : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(TestbedGolden, HashCompletedAndEspArePinned) {
+  TestbedConfig cfg;
+  cfg.deployment.mode = GetParam().mode;
+  cfg.deployment.web_servers = 2;
+  cfg.deployment.dataset.items = 100;
+  cfg.deployment.dataset.users = 30;
+  cfg.deployment.dataset.bids = 200;
+  Testbed bed(cfg);
+  const auto report = bed.run_closed_loop(3, 3 * sim::kSecond);
+  EXPECT_EQ(report.errors, 0u);
+  EXPECT_EQ(bed.network().perf().determinism_hash, GetParam().hash);
+  EXPECT_EQ(report.completed, GetParam().completed);
+  EXPECT_EQ(bed.service().total_esp_packets(), GetParam().esp);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, TestbedGolden,
+    ::testing::Values(
+        Golden{SecurityMode::kBasic, 0x7f4664f2650c6939ULL, 53, 0},
+        Golden{SecurityMode::kHip, 0xe95bca7bddb9a731ULL, 54, 4432},
+        Golden{SecurityMode::kSsl, 0xf37bfb423555d135ULL, 54, 0}),
+    golden_name);
+
+class ShardedGolden : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(ShardedGolden, HashCompletedAndEspArePinned) {
+  cloud::FabricConfig fcfg;
+  fcfg.racks = 4;
+  fcfg.hosts_per_rack = 1;
+  fcfg.vms_per_host = 1;
+  cloud::ShardedFabric fabric(fcfg);
+  ShardedServiceConfig scfg;
+  scfg.mode = GetParam().mode;
+  scfg.dataset.items = 100;
+  scfg.dataset.users = 30;
+  scfg.dataset.bids = 200;
+  scfg.clients_per_rack = 2;
+  scfg.duration = sim::kSecond;
+  ShardedService service(fabric, scfg);
+  service.prepare();
+  fabric.run(sim::kSecond, 1);
+  service.start_clients();
+  fabric.run(4 * sim::kSecond, 1);
+  const auto report = service.report();
+  EXPECT_EQ(report.errors, 0u);
+  EXPECT_EQ(fabric.world_hash(), GetParam().hash);
+  EXPECT_EQ(report.completed, GetParam().completed);
+  EXPECT_EQ(service.total_esp_packets(), GetParam().esp);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, ShardedGolden,
+    ::testing::Values(
+        Golden{SecurityMode::kBasic, 0x5bdd2f7ed1e4cce9ULL, 372, 0},
+        Golden{SecurityMode::kHip, 0xb5e89cbc2db8c2fcULL, 262, 10421}),
+    golden_name);
+
+}  // namespace
+}  // namespace hipcloud::core

@@ -65,7 +65,8 @@ TEST_P(ShardedModeTest, ServesCrossRackTrafficAndHashIsWorkerInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, ShardedModeTest,
                          ::testing::Values(SecurityMode::kBasic,
-                                           SecurityMode::kHip),
+                                           SecurityMode::kHip,
+                                           SecurityMode::kSsl),
                          [](const auto& name_info) {
                            return std::string(mode_name(name_info.param));
                          });
