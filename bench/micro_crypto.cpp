@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "crypto/aes.hpp"
+#include "crypto/bigint.hpp"
 #include "crypto/dh.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/ec_p256.hpp"
@@ -250,6 +251,38 @@ void BM_RsaVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaVerify)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
+
+void BM_ModExp(benchmark::State& state) {
+  // One full-width exponentiation modulo an odd range(0)-bit modulus, the
+  // shape of every public-key operation: 512 bits for Miller-Rabin and
+  // the RSA-1024 CRT halves, 1024 for verify/encrypt, 1536 for the BEX
+  // Diffie-Hellman group.
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  crypto::HmacDrbg drbg(1, "bench-modexp");
+  crypto::BigInt m = crypto::BigInt::random_bits(drbg, bits);
+  m.set_bit(0);
+  const crypto::BigInt base = crypto::BigInt::random_below(drbg, m);
+  const crypto::BigInt exp = crypto::BigInt::random_bits(drbg, bits);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(base.mod_exp(exp, m));
+  }
+}
+BENCHMARK(BM_ModExp)->Arg(512)->Arg(1024)->Arg(1536)->Arg(2048)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_GeneratePrime(benchmark::State& state) {
+  // generate_prime is not memoised (rsa_generate is): each iteration
+  // draws a fresh prime from its own seed, so every run times the same
+  // 16 searches, trial division and Miller-Rabin included.
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    crypto::HmacDrbg drbg(++seed, "bench-prime");
+    benchmark::DoNotOptimize(crypto::BigInt::generate_prime(drbg, bits));
+  }
+}
+BENCHMARK(BM_GeneratePrime)->Arg(512)->Iterations(16)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EcdsaSign(benchmark::State& state) {
   crypto::HmacDrbg drbg(1, "bench");

@@ -231,9 +231,10 @@ fi
 
 if [[ "$run_bench" == 1 ]]; then
   # Perf smoke: every bench binary must still build, and the
-  # `bench`-labeled CTest entries (micro_crypto symmetric filter,
-  # micro_sim --quick) must run clean once. No JSON is emitted — this
-  # gate catches bit-rot in the bench tree, not perf regressions. A
+  # `bench`-labeled CTest entries (micro_crypto's symmetric primitives
+  # plus BM_ModExp/512, micro_sim --quick, the fig_scale and
+  # fig_shard_chaos quick runs) must run clean once. No JSON is emitted —
+  # this gate catches bit-rot in the bench tree, not perf regressions. A
   # second run with the accelerated crypto backends disabled proves the
   # scalar fallbacks stay healthy on every host.
   run "bench-smoke: build benches" \

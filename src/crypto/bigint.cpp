@@ -278,46 +278,199 @@ std::pair<BigInt, BigInt> BigInt::divmod(const BigInt& divisor) const {
   return {q, r};
 }
 
-// Montgomery multiplication: returns a*b*R^-1 mod m where R = 2^(32n).
-// `m_inv` satisfies m[0] * m_inv == -1 mod 2^32.
-BigInt BigInt::mont_mul(const BigInt& a, const BigInt& b, const BigInt& m,
-                        std::uint32_t m_inv, std::size_t n) {
-  std::vector<std::uint32_t> t(n + 2, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t ai = i < a.limbs_.size() ? a.limbs_[i] : 0;
-    // t += ai * b
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t bj = j < b.limbs_.size() ? b.limbs_[j] : 0;
-      const std::uint64_t v = ai * bj + t[j] + carry;
-      t[j] = static_cast<std::uint32_t>(v);
-      carry = v >> 32;
-    }
-    std::uint64_t v = static_cast<std::uint64_t>(t[n]) + carry;
-    t[n] = static_cast<std::uint32_t>(v);
-    t[n + 1] += static_cast<std::uint32_t>(v >> 32);
+// Montgomery arithmetic modulo one odd m > 1 (DESIGN.md §5b). A residue
+// is n little-endian 64-bit words; with R = 2^(64n), x is held as xR mod m
+// and is always fully reduced, so equal residues have equal words. The
+// context (m, -m^-1 mod 2^64, R mod m, R^2 mod m) is built once per
+// modulus. mul() and sqr() work in a 2n-word scratch the caller owns and
+// never allocate. Nothing here is constant-time: the final subtraction
+// and the window lookups depend on the operands.
+class BigInt::Montgomery {
+ public:
+  using Word = std::uint64_t;
+  using Words = std::vector<Word>;
 
-    // u = t[0] * m_inv mod 2^32;  t += u * m; then shift right one limb.
-    const std::uint32_t u = t[0] * m_inv;
-    carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t w =
-          static_cast<std::uint64_t>(u) * m.limbs_[j] + t[j] + carry;
-      t[j] = static_cast<std::uint32_t>(w);
-      carry = w >> 32;
-    }
-    v = static_cast<std::uint64_t>(t[n]) + carry;
-    t[n] = static_cast<std::uint32_t>(v);
-    t[n + 1] += static_cast<std::uint32_t>(v >> 32);
-    // Shift down by one limb (divide by 2^32); t[0] is zero by construction.
-    for (std::size_t j = 0; j < n + 1; ++j) t[j] = t[j + 1];
-    t[n + 1] = 0;
+  explicit Montgomery(const BigInt& m);
+
+  std::size_t words() const { return n_; }
+  /// 1 in Montgomery form.
+  const Words& one() const { return one_; }
+
+  /// x (< m) into Montgomery form, and back.
+  Words to_mont(const BigInt& x) const;
+  BigInt from_mont(const Words& a) const;
+
+  /// out = a*b/R mod m; out may alias a or b; t holds 2n words.
+  void mul(Word* out, const Word* a, const Word* b, Word* t) const;
+  /// out = a*a/R mod m, with mul()'s contract.
+  void sqr(Word* out, const Word* a, Word* t) const;
+
+  /// base^e with a fixed 4-bit window; base and result in Montgomery form.
+  Words pow(const Words& base, const BigInt& e) const;
+
+ private:
+  using Wide = unsigned __int128;
+
+  static Words pack(const BigInt& x, std::size_t n);
+  /// out = t/R mod m for t < mR held in t[0, 2n); t is clobbered.
+  void redc(Word* out, Word* t) const;
+
+  std::size_t n_;
+  Words m_;
+  Word m0inv_ = 0;  // -m^-1 mod 2^64
+  Words one_;       // R mod m
+  Words r2_;        // R^2 mod m
+};
+
+BigInt::Montgomery::Words BigInt::Montgomery::pack(const BigInt& x,
+                                                   std::size_t n) {
+  Words out(n, 0);
+  for (std::size_t i = 0; i < x.limbs_.size(); ++i) {
+    out[i / 2] |= static_cast<Word>(x.limbs_[i]) << (32 * (i % 2));
   }
-  BigInt out;
-  out.limbs_.assign(t.begin(), t.begin() + static_cast<long>(n + 1));
-  out.trim();
-  if (out >= m) out = out - m;
   return out;
+}
+
+BigInt::Montgomery::Montgomery(const BigInt& m)
+    : n_((m.limbs_.size() + 1) / 2), m_(pack(m, n_)) {
+  // Newton's iteration for m^-1 mod 2^64: odd m0 is its own inverse mod
+  // 8, and each step doubles the correct low bits (3 -> 96).
+  Word inv = m_[0];
+  for (int i = 0; i < 5; ++i) inv *= 2 - m_[0] * inv;
+  m0inv_ = 0 - inv;
+  const BigInt r_mod = (BigInt(1) << (64 * n_)) % m;
+  one_ = pack(r_mod, n_);
+  r2_ = pack((r_mod * r_mod) % m, n_);
+}
+
+BigInt::Montgomery::Words BigInt::Montgomery::to_mont(const BigInt& x) const {
+  Words out = pack(x, n_);
+  Words t(2 * n_);
+  mul(out.data(), out.data(), r2_.data(), t.data());
+  return out;
+}
+
+BigInt BigInt::Montgomery::from_mont(const Words& a) const {
+  Words t(2 * n_, 0);
+  std::copy(a.begin(), a.end(), t.begin());
+  Words plain(n_);
+  redc(plain.data(), t.data());
+  BigInt out;
+  out.limbs_.resize(2 * n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    out.limbs_[2 * i] = static_cast<std::uint32_t>(plain[i]);
+    out.limbs_[2 * i + 1] = static_cast<std::uint32_t>(plain[i] >> 32);
+  }
+  out.trim();
+  return out;
+}
+
+void BigInt::Montgomery::redc(Word* out, Word* t) const {
+  const std::size_t n = n_;
+  const Word* m = m_.data();
+  Word hi = 0;  // carry out of t[i + n - 1], owed to t[i + n]
+  for (std::size_t i = 0; i < n; ++i) {
+    // Add u*m*2^(64i) so that word i becomes zero.
+    const Word u = t[i] * m0inv_;
+    Wide c = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      c += static_cast<Wide>(u) * m[j] + t[i + j];
+      t[i + j] = static_cast<Word>(c);
+      c >>= 64;
+    }
+    c += static_cast<Wide>(t[i + n]) + hi;
+    t[i + n] = static_cast<Word>(c);
+    hi = static_cast<Word>(c >> 64);
+  }
+  // hi*R + t[n, 2n) < 2m: subtract m once unless that would go negative.
+  Word borrow = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const Wide d = static_cast<Wide>(t[n + j]) - m[j] - borrow;
+    out[j] = static_cast<Word>(d);
+    borrow = static_cast<Word>(d >> 64) & 1;
+  }
+  if (borrow > hi) std::copy(t + n, t + 2 * n, out);
+}
+
+void BigInt::Montgomery::mul(Word* out, const Word* a, const Word* b,
+                             Word* t) const {
+  const std::size_t n = n_;
+  std::fill(t, t + n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Word ai = a[i];
+    Wide c = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      c += static_cast<Wide>(ai) * b[j] + t[i + j];
+      t[i + j] = static_cast<Word>(c);
+      c >>= 64;
+    }
+    t[i + n] = static_cast<Word>(c);
+  }
+  redc(out, t);
+}
+
+void BigInt::Montgomery::sqr(Word* out, const Word* a, Word* t) const {
+  const std::size_t n = n_;
+  // Each cross product a[i]*a[j], i < j, once...
+  std::fill(t, t + n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Word ai = a[i];
+    Wide c = 0;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      c += static_cast<Wide>(ai) * a[j] + t[i + j];
+      t[i + j] = static_cast<Word>(c);
+      c >>= 64;
+    }
+    t[i + n] = static_cast<Word>(c);
+  }
+  // ...then doubled, plus the squares a[i]^2 on the diagonal.
+  Word top = 0;  // bit shifted out of t[2i - 1]
+  Wide c = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Wide sq = static_cast<Wide>(a[i]) * a[i];
+    const Word lo = t[2 * i];
+    const Word hi = t[2 * i + 1];
+    c += static_cast<Wide>((lo << 1) | top) + static_cast<Word>(sq);
+    t[2 * i] = static_cast<Word>(c);
+    c >>= 64;
+    c += static_cast<Wide>((hi << 1) | (lo >> 63)) +
+         static_cast<Word>(sq >> 64);
+    t[2 * i + 1] = static_cast<Word>(c);
+    c >>= 64;
+    top = hi >> 63;
+  }
+  redc(out, t);
+}
+
+BigInt::Montgomery::Words BigInt::Montgomery::pow(const Words& base,
+                                                  const BigInt& e) const {
+  const std::size_t bits = e.bit_length();
+  if (bits == 0) return one_;
+  const std::size_t n = n_;
+  // Scratch is allocated once per exponentiation: table[k] = base^k for
+  // k < 16, then the product scratch.
+  Words work(18 * n);
+  Word* table = work.data();
+  Word* t = table + 16 * n;
+  std::copy(one_.begin(), one_.end(), table);
+  std::copy(base.begin(), base.end(), table + n);
+  for (std::size_t k = 2; k < 16; ++k) {
+    mul(table + k * n, table + (k - 1) * n, table + n, t);
+  }
+  // 4-bit windows are aligned to multiples of 4, so one never straddles
+  // two 32-bit limbs.
+  const auto window = [&e](std::size_t w) {
+    return (e.limbs_[w / 8] >> (4 * (w % 8))) & 0xf;
+  };
+  std::size_t w = (bits - 1) / 4;
+  const Word* top = table + window(w) * n;
+  Words acc(top, top + n);
+  while (w-- > 0) {
+    for (int k = 0; k < 4; ++k) sqr(acc.data(), acc.data(), t);
+    const std::uint32_t digit = window(w);
+    if (digit != 0) mul(acc.data(), acc.data(), table + digit * n, t);
+  }
+  return acc;
 }
 
 BigInt BigInt::mod_exp(const BigInt& exp, const BigInt& m) const {
@@ -327,26 +480,8 @@ BigInt BigInt::mod_exp(const BigInt& exp, const BigInt& m) const {
   if (exp.is_zero()) return BigInt(1);
 
   if (m.is_odd()) {
-    // Montgomery exponentiation.
-    const std::size_t n = m.limbs_.size();
-    // m_inv = -m^-1 mod 2^32 via Newton iteration.
-    std::uint32_t inv = 1;
-    for (int i = 0; i < 5; ++i) inv *= 2 - m.limbs_[0] * inv;
-    const std::uint32_t m_inv = ~inv + 1;  // -inv
-
-    // R mod m and R^2 mod m where R = 2^(32n).
-    BigInt r = BigInt(1) << (32 * n);
-    const BigInt r_mod = r % m;
-    const BigInt r2 = (r_mod * r_mod) % m;
-
-    BigInt x = mont_mul(base, r2, m, m_inv, n);  // base in Montgomery form
-    BigInt acc = r_mod;                          // 1 in Montgomery form
-    const std::size_t bits = exp.bit_length();
-    for (std::size_t i = bits; i-- > 0;) {
-      acc = mont_mul(acc, acc, m, m_inv, n);
-      if (exp.bit(i)) acc = mont_mul(acc, x, m, m_inv, n);
-    }
-    return mont_mul(acc, BigInt(1), m, m_inv, n);
+    const Montgomery mont(m);
+    return mont.from_mont(mont.pow(mont.to_mont(base), exp));
   }
 
   // Even modulus: plain square-and-multiply with divmod (rare path; only
@@ -453,15 +588,21 @@ bool BigInt::is_probable_prime(const BigInt& n, HmacDrbg& drbg, int rounds) {
     d = d >> 1;
     ++s;
   }
+  // One Montgomery context per candidate; the rounds compare and square
+  // in Montgomery form, where 1 and n-1 have fixed images.
+  const Montgomery mont(n);
+  const Montgomery::Words& one = mont.one();
+  const Montgomery::Words minus_one = mont.to_mont(n_minus_1);
+  Montgomery::Words t(2 * mont.words());
   for (int round = 0; round < rounds; ++round) {
     const BigInt a =
         BigInt(2) + random_below(drbg, n - BigInt(4));
-    BigInt x = a.mod_exp(d, n);
-    if (x == BigInt(1) || x == n_minus_1) continue;
+    Montgomery::Words x = mont.pow(mont.to_mont(a), d);
+    if (x == one || x == minus_one) continue;
     bool witness = true;
     for (std::size_t i = 0; i + 1 < s; ++i) {
-      x = x.mod_exp(BigInt(2), n);
-      if (x == n_minus_1) {
+      mont.sqr(x.data(), x.data(), t.data());
+      if (x == minus_one) {
         witness = false;
         break;
       }

@@ -54,8 +54,9 @@ class BigInt {
   BigInt operator/(const BigInt& rhs) const { return divmod(rhs).first; }
   BigInt operator%(const BigInt& rhs) const { return divmod(rhs).second; }
 
-  /// (this ^ exp) mod m. Uses Montgomery ladder-free square-and-multiply
-  /// with Montgomery reduction when m is odd; plain divmod otherwise.
+  /// (this ^ exp) mod m. For odd m: fixed 4-bit-window exponentiation
+  /// with Montgomery multiplication on 64-bit words; otherwise plain
+  /// square-and-multiply with divmod. Not constant-time.
   BigInt mod_exp(const BigInt& exp, const BigInt& m) const;
 
   /// Multiplicative inverse mod m; throws std::domain_error when
@@ -80,8 +81,7 @@ class BigInt {
 
  private:
   void trim();
-  static BigInt mont_mul(const BigInt& a, const BigInt& b, const BigInt& m,
-                         std::uint32_t m_inv, std::size_t n);
+  class Montgomery;  // odd-modulus kernel, defined in bigint.cpp
 
   std::vector<std::uint32_t> limbs_;  // little-endian; no trailing zeros
 };

@@ -64,7 +64,7 @@ bool Link::transmit(Packet pkt, const Node* from) {
   delivered_bytes_ += pkt.wire_size();
 
   Node* to = dir.to;
-  const sim::Time arrival = dir.busy_until + config_.latency + fault_latency_;
+  const sim::Time arrival = dir.busy_until + config_.latency;
   schedule_delivery(arrival, to, std::move(pkt));
   return true;
 }

@@ -49,15 +49,12 @@ class Link {
   void set_down(bool down) { down_ = down; }
   bool is_down() const { return down_; }
 
-  /// Fault overlays (driven by sim::FaultInjector): additional random
-  /// loss and extra one-way latency layered on top of the configured
-  /// values for the duration of a fault window. Both reset to 0 on
-  /// revert; neither touches config_, so reverting restores the exact
-  /// pre-fault behaviour.
+  /// Fault overlay (driven by sim::FaultInjector): additional random
+  /// loss layered on top of the configured loss for the duration of a
+  /// fault window. It resets to 0 on revert and never touches config_,
+  /// so reverting restores the exact pre-fault behaviour.
   void set_fault_loss(double rate) { fault_loss_ = rate; }
   double fault_loss() const { return fault_loss_; }
-  void set_fault_extra_latency(sim::Duration extra) { fault_latency_ = extra; }
-  sim::Duration fault_extra_latency() const { return fault_latency_; }
 
   std::uint64_t delivered_packets() const { return delivered_; }
   std::uint64_t dropped_packets() const { return dropped_; }
@@ -91,7 +88,6 @@ class Link {
   Node* b_;
   bool down_ = false;
   double fault_loss_ = 0.0;
-  sim::Duration fault_latency_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t delivered_bytes_ = 0;

@@ -14,7 +14,7 @@ namespace hipcloud::sim {
 /// Deterministic fault-injection scheduler.
 ///
 /// Chaos for the simulator: scripted or seeded fault windows (link
-/// down/up, loss or latency bursts, node crash/restart, partitions) are
+/// down/up, loss bursts, node crash/restart, partitions) are
 /// expressed as apply/revert callback pairs and driven by the event loop,
 /// so a faulty run is exactly as reproducible as a clean one. The
 /// injector itself is layer-agnostic — callers bind the callbacks to

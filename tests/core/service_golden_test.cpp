@@ -7,18 +7,25 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/sharded_service.hpp"
 #include "core/testbed.hpp"
 
 namespace hipcloud::core {
 namespace {
 
+// gtest names each case after a byte dump of its parameter, padding
+// included. `pad` fills the hole after `mode`, so the names carry no
+// uninitialised stack bytes that change from one run to the next.
 struct Golden {
   SecurityMode mode;
+  std::uint32_t pad = 0;
   std::uint64_t hash;
   std::uint64_t completed;
   std::uint64_t esp;
 };
+static_assert(std::has_unique_object_representations_v<Golden>);
 
 std::string golden_name(const ::testing::TestParamInfo<Golden>& name_info) {
   return mode_name(name_info.param.mode);
@@ -44,9 +51,12 @@ TEST_P(TestbedGolden, HashCompletedAndEspArePinned) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, TestbedGolden,
     ::testing::Values(
-        Golden{SecurityMode::kBasic, 0x7f4664f2650c6939ULL, 53, 0},
-        Golden{SecurityMode::kHip, 0xe95bca7bddb9a731ULL, 54, 4432},
-        Golden{SecurityMode::kSsl, 0xf37bfb423555d135ULL, 54, 0}),
+        Golden{.mode = SecurityMode::kBasic, .hash = 0x7f4664f2650c6939ULL,
+               .completed = 53, .esp = 0},
+        Golden{.mode = SecurityMode::kHip, .hash = 0xe95bca7bddb9a731ULL,
+               .completed = 54, .esp = 4432},
+        Golden{.mode = SecurityMode::kSsl, .hash = 0xf37bfb423555d135ULL,
+               .completed = 54, .esp = 0}),
     golden_name);
 
 class ShardedGolden : public ::testing::TestWithParam<Golden> {};
@@ -79,8 +89,10 @@ TEST_P(ShardedGolden, HashCompletedAndEspArePinned) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, ShardedGolden,
     ::testing::Values(
-        Golden{SecurityMode::kBasic, 0x5bdd2f7ed1e4cce9ULL, 372, 0},
-        Golden{SecurityMode::kHip, 0xb5e89cbc2db8c2fcULL, 262, 10421}),
+        Golden{.mode = SecurityMode::kBasic, .hash = 0x5bdd2f7ed1e4cce9ULL,
+               .completed = 372, .esp = 0},
+        Golden{.mode = SecurityMode::kHip, .hash = 0xb5e89cbc2db8c2fcULL,
+               .completed = 262, .esp = 10421}),
     golden_name);
 
 }  // namespace

@@ -2,10 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crypto/drbg.hpp"
 
 namespace hipcloud::crypto {
 namespace {
+
+// Reference for the differential tests: right-to-left square-and-multiply
+// on operator* and operator% only, sharing no code with mod_exp.
+BigInt reference_mod_exp(const BigInt& base, const BigInt& exp,
+                         const BigInt& m) {
+  BigInt result = BigInt(1) % m;
+  BigInt power = base % m;
+  for (std::size_t i = 0; i < exp.bit_length(); ++i) {
+    if (exp.bit(i)) result = (result * power) % m;
+    power = (power * power) % m;
+  }
+  return result;
+}
+
+// True when n passes one Miller-Rabin round to base a.
+bool strong_probable_prime(const BigInt& n, const BigInt& a) {
+  const BigInt n_minus_1 = n - BigInt(1);
+  BigInt d = n_minus_1;
+  std::size_t s = 0;
+  while (!d.is_odd()) {
+    d = d >> 1;
+    ++s;
+  }
+  BigInt x = a.mod_exp(d, n);
+  if (x == BigInt(1) || x == n_minus_1) return true;
+  for (std::size_t i = 1; i < s; ++i) {
+    x = (x * x) % n;
+    if (x == n_minus_1) return true;
+  }
+  return false;
+}
 
 TEST(BigInt, ConstructionAndHex) {
   EXPECT_EQ(BigInt().to_hex(), "0");
@@ -116,6 +149,37 @@ TEST(BigInt, ModExpMatchesNaive) {
   }
 }
 
+TEST(BigInt, ModExpMatchesReferenceAcrossWidths) {
+  HmacDrbg drbg(9, "modexp-diff");
+  // Odd moduli from 1 to 2048 bits: 1 bit is m = 1 and 2 bits is m = 3;
+  // 32k+1 bits gives an odd number of 32-bit limbs with a top limb of 1
+  // (half of the kernel's top 64-bit word).
+  for (const std::size_t bits :
+       {1u, 2u, 5u, 31u, 32u, 33u, 63u, 64u, 65u, 96u, 97u, 127u, 160u,
+        255u, 256u, 257u, 511u, 512u, 513u, 1023u, 1024u, 1025u, 1536u,
+        2047u, 2048u}) {
+    BigInt m = BigInt::random_bits(drbg, bits);
+    m.set_bit(0);
+    const std::vector<BigInt> bases = {
+        BigInt(), m - BigInt(1), BigInt::random_below(drbg, m),
+        BigInt::random_bits(drbg, bits + 37),  // >= m
+        m};
+    // Exponent lengths 0 and 1, lengths on either side of the 4-bit
+    // window, and full width.
+    for (const std::size_t exp_bits :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+          std::size_t{4}, std::size_t{5}, std::size_t{7}, std::size_t{9},
+          std::size_t{66}, bits, bits + 3}) {
+      const BigInt exp = BigInt::random_bits(drbg, exp_bits);
+      for (const BigInt& base : bases) {
+        EXPECT_EQ(base.mod_exp(exp, m), reference_mod_exp(base, exp, m))
+            << "bits=" << bits << " exp_bits=" << exp_bits
+            << " base=" << base.to_hex() << " m=" << m.to_hex();
+      }
+    }
+  }
+}
+
 TEST(BigInt, ModExpEvenModulus) {
   EXPECT_EQ(BigInt(3).mod_exp(BigInt(5), BigInt(100)), BigInt(43));
 }
@@ -174,6 +238,29 @@ TEST(BigInt, PrimalityKnownPrimesAndComposites) {
   // 2^67-1 = 193707721 * 761838257287 (composite Mersenne).
   EXPECT_FALSE(
       BigInt::is_probable_prime(BigInt::from_hex("7ffffffffffffffff"), drbg));
+}
+
+TEST(BigInt, PrimalityStrongPseudoprimeToSmallBases) {
+  // 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to bases 2, 3, 5
+  // and 7 and fails it to 11; random bases expose it.
+  const BigInt n(3215031751ULL);
+  for (const std::uint64_t a : {2u, 3u, 5u, 7u}) {
+    EXPECT_TRUE(strong_probable_prime(n, BigInt(a))) << a;
+  }
+  EXPECT_FALSE(strong_probable_prime(n, BigInt(11)));
+  HmacDrbg drbg(10, "spsp");
+  EXPECT_FALSE(BigInt::is_probable_prime(n, drbg));
+}
+
+TEST(BigInt, PrimalityAt512Bits) {
+  HmacDrbg drbg(11, "prime512");
+  // 2^512 - 569 is the largest 512-bit prime.
+  const BigInt p = (BigInt(1) << 512) - BigInt(569);
+  EXPECT_TRUE(BigInt::is_probable_prime(p, drbg));
+  // (2^255 - 19)(2^256 - 189): two primes, so no small factor to find.
+  const BigInt semiprime = ((BigInt(1) << 255) - BigInt(19)) *
+                           ((BigInt(1) << 256) - BigInt(189));
+  EXPECT_FALSE(BigInt::is_probable_prime(semiprime, drbg));
 }
 
 TEST(BigInt, GeneratePrimeHasRequestedBits) {
