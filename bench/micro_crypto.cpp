@@ -17,7 +17,6 @@
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha_mb.hpp"
-#include "crypto_micro.hpp"
 #include "hip/esp.hpp"
 #include "hip/puzzle.hpp"
 
@@ -81,9 +80,9 @@ BENCHMARK(BM_HmacSha256StreamingScalar)->Arg(64)->Arg(1500);
 
 void BM_HmacSha256MultiBuffer(benchmark::State& state) {
   // N independent 1500-byte ICVs per compute() call, lanes capped at
-  // range(0): 1 = per-lane fallback, 2 = dual-stream SHA-NI tier, 4 =
-  // SSE tier, 8 = AVX2 tier. Caps above the host's detected width
-  // silently clamp, so every arg runs.
+  // range(0): 1 = per-lane fallback, 2 = dual-stream SHA-NI tier, 8 =
+  // AVX2 tier. Caps above the host's detected width silently clamp, so
+  // every arg runs.
   const auto cap = static_cast<std::size_t>(state.range(0));
   crypto::shamb::set_lane_cap_for_test(cap);
   const std::size_t lanes = crypto::shamb::lane_width();
@@ -105,20 +104,7 @@ void BM_HmacSha256MultiBuffer(benchmark::State& state) {
                           static_cast<std::int64_t>(lanes));
   state.counters["lanes"] = static_cast<double>(lanes);
 }
-BENCHMARK(BM_HmacSha256MultiBuffer)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_AesCtrSboxRef(benchmark::State& state) {
-  // Byte-oriented S-box baseline ("before") — the acceptance yardstick
-  // for the T-table/AES-NI datapath.
-  const bench::AesRef ref(Bytes(16, 0x22));
-  const Bytes nonce(12, 0x33);
-  const Bytes data(static_cast<std::size_t>(state.range(0)), 0xab);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ref.ctr(nonce, 1, data));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_AesCtrSboxRef)->Arg(1500)->Arg(16384);
+BENCHMARK(BM_HmacSha256MultiBuffer)->Arg(1)->Arg(2)->Arg(8);
 
 void BM_AesCtr(benchmark::State& state) {
   const crypto::Aes aes(Bytes(16, 0x22));
@@ -164,21 +150,6 @@ void BM_AesCbcDecrypt(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 1500);
 }
 BENCHMARK(BM_AesCbcDecrypt);
-
-void BM_EspProtectLegacy(benchmark::State& state) {
-  // The seed's allocating datapath, replicated in bench/crypto_micro.hpp.
-  // Its compress is pinned to scalar: the seed predates the SHA-NI
-  // dispatch, so the yardstick must not accelerate with it.
-  crypto::sha256_backend::set_for_test(crypto::sha256_backend::Kind::kScalar);
-  bench::LegacyEspProtect sa(0xabcd1234, Bytes(16, 0x11), Bytes(32, 0x22));
-  const Bytes payload(static_cast<std::size_t>(state.range(0)), 0x5a);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sa.protect(6, hip::EspSa::kModeHit, payload));
-  }
-  crypto::sha256_backend::set_for_test(crypto::sha256_backend::Kind::kAuto);
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EspProtectLegacy)->Arg(64)->Arg(1024);
 
 void BM_EspProtect(benchmark::State& state) {
   hip::EspSa sa(0xabcd1234, hip::EspSuite::kAes128CtrSha256, Bytes(16, 0x11),

@@ -11,10 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <new>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "core/testbed.hpp"
@@ -67,75 +64,8 @@ double seconds_since(Clock::time_point t0) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy event loop: the seed implementation (std::priority_queue of
-// std::function entries + live/cancelled hash sets), kept here verbatim as
-// the live "before" baseline so the speedup claim is re-measurable in
-// every future run of this binary.
-
-class LegacyEventLoop {
- public:
-  using Callback = std::function<void()>;
-
-  std::uint64_t schedule(std::int64_t delay, Callback cb) {
-    if (delay < 0) delay = 0;
-    const std::uint64_t id = next_id_++;
-    queue_.push(Entry{now_ + delay, next_seq_++, id, std::move(cb)});
-    live_ids_.insert(id);
-    return id;
-  }
-
-  bool cancel(std::uint64_t id) {
-    if (id == 0 || live_ids_.erase(id) == 0) return false;
-    cancelled_.insert(id);
-    return true;
-  }
-
-  std::size_t run() {
-    std::size_t n = 0;
-    while (!queue_.empty()) {
-      const Entry& top = queue_.top();
-      if (const auto it = cancelled_.find(top.id); it != cancelled_.end()) {
-        cancelled_.erase(it);
-        queue_.pop();
-        continue;
-      }
-      Entry e = std::move(const_cast<Entry&>(top));
-      queue_.pop();
-      live_ids_.erase(e.id);
-      now_ = e.when;
-      e.cb();
-      ++n;
-    }
-    cancelled_.clear();
-    return n;
-  }
-
- private:
-  struct Entry {
-    std::int64_t when;
-    std::uint64_t seq;
-    std::uint64_t id;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  std::int64_t now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::unordered_set<std::uint64_t> live_ids_;
-  std::unordered_set<std::uint64_t> cancelled_;
-};
-
-// ---------------------------------------------------------------------------
-// Event-loop workloads. Both run the same pattern on the legacy loop and
-// on sim::EventLoop: waves of scheduled events where each firing schedules
-// a successor (timer churn), plus an RTO-style schedule-then-cancel storm.
+// Event-loop workloads on sim::EventLoop: waves of scheduled events
+// (timer churn), plus an RTO-style schedule-then-cancel storm.
 
 struct LoopScore {
   double schedule_fire_mops;  // schedule+fire pairs per second, millions
@@ -144,19 +74,17 @@ struct LoopScore {
 
 // Captured state sized like the real hot callbacks: the link-delivery
 // lambda captures a Packet by value (~112 bytes), timer lambdas capture a
-// shared_ptr plus sequencing state. Anything past ~16 bytes already spills
-// std::function to the heap, so an honest schedule/fire benchmark must
+// shared_ptr plus sequencing state. An honest schedule/fire benchmark must
 // carry a realistic capture, not an 8-byte counter reference.
 struct CallbackState {
   std::uint64_t* fired;
   std::uint64_t pad[7];  // 64 bytes total, well under a Packet capture
 };
 
-template <typename Loop, typename Handle>
 LoopScore run_loop_bench(std::size_t events, std::size_t churn) {
   LoopScore score{};
   {
-    Loop loop;
+    sim::EventLoop loop;
     std::uint64_t fired = 0;
     const CallbackState st{&fired, {}};
     const auto t0 = Clock::now();
@@ -175,13 +103,13 @@ LoopScore run_loop_bench(std::size_t events, std::size_t churn) {
         static_cast<double>(fired) / seconds_since(t0) / 1e6;
   }
   {
-    Loop loop;
+    sim::EventLoop loop;
     std::uint64_t fired = 0;
     const CallbackState st{&fired, {}};
     const auto t0 = Clock::now();
     constexpr std::size_t kWave = 1024;
     std::size_t done = 0;
-    std::vector<Handle> handles;
+    std::vector<sim::EventHandle> handles;
     handles.reserve(kWave);
     while (done < churn) {
       const std::size_t n = std::min(kWave, churn - done);
@@ -322,9 +250,8 @@ RubisScore run_rubis_hip(int clients, double sim_seconds) {
 constexpr double kSeedTcpAllocsPerPacket = 7.50;
 constexpr double kSeedRubisAllocsPerRequest = 1250.6;
 
-void write_sim_json(const LoopScore& legacy, const LoopScore& current,
-                    const EchoScore& echo, const RubisScore& rubis,
-                    const char* path) {
+void write_sim_json(const LoopScore& loop, const EchoScore& echo,
+                    const RubisScore& rubis, const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
     std::fprintf(stderr, "warning: could not write %s\n", path);
@@ -334,17 +261,9 @@ void write_sim_json(const LoopScore& legacy, const LoopScore& current,
   std::fprintf(f, "  \"title\": \"Simulator core: event engine and packet "
                "datapath\",\n");
   std::fprintf(f, "  \"event_loop\": {\n");
-  std::fprintf(f, "    \"legacy_schedule_fire_mops\": %.2f,\n",
-               legacy.schedule_fire_mops);
-  std::fprintf(f, "    \"legacy_schedule_cancel_mops\": %.2f,\n",
-               legacy.cancel_mops);
   std::fprintf(f, "    \"schedule_fire_mops\": %.2f,\n",
-               current.schedule_fire_mops);
-  std::fprintf(f, "    \"schedule_cancel_mops\": %.2f,\n", current.cancel_mops);
-  std::fprintf(f, "    \"speedup_schedule_fire\": %.2f,\n",
-               current.schedule_fire_mops / legacy.schedule_fire_mops);
-  std::fprintf(f, "    \"speedup_schedule_cancel\": %.2f\n",
-               current.cancel_mops / legacy.cancel_mops);
+               loop.schedule_fire_mops);
+  std::fprintf(f, "    \"schedule_cancel_mops\": %.2f\n", loop.cancel_mops);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"tcp_echo\": {\n");
   std::fprintf(f, "    \"round_trips\": %llu,\n",
@@ -390,22 +309,11 @@ int main(int argc, char** argv) {
 
   std::printf("Simulator-core micro-bench\n==========================\n\n");
 
-  const auto legacy =
-      run_loop_bench<LegacyEventLoop, std::uint64_t>(events, churn);
-  std::printf("event loop (legacy: priority_queue + hash sets)\n"
-              "  schedule+fire: %8.2f M ops/s\n"
-              "  schedule+cancel: %6.2f M ops/s\n",
-              legacy.schedule_fire_mops, legacy.cancel_mops);
-
-  const auto current =
-      run_loop_bench<hipcloud::sim::EventLoop, hipcloud::sim::EventHandle>(
-          events, churn);
+  const auto loop = run_loop_bench(events, churn);
   std::printf("event loop (sim::EventLoop)\n"
-              "  schedule+fire: %8.2f M ops/s  (%.2fx)\n"
-              "  schedule+cancel: %6.2f M ops/s  (%.2fx)\n\n",
-              current.schedule_fire_mops,
-              current.schedule_fire_mops / legacy.schedule_fire_mops,
-              current.cancel_mops, current.cancel_mops / legacy.cancel_mops);
+              "  schedule+fire: %8.2f M ops/s\n"
+              "  schedule+cancel: %6.2f M ops/s\n\n",
+              loop.schedule_fire_mops, loop.cancel_mops);
 
   const auto echo = run_tcp_echo(echos);
   std::printf("tcp echo (1 KiB, %llu round trips)\n"
@@ -427,6 +335,6 @@ int main(int argc, char** argv) {
               100.0 * rubis.perf.pool_hit_rate(), rubis.wall_seconds);
 
   // The quick CTest smoke run keeps the JSON artifact from the full run.
-  if (!quick) write_sim_json(legacy, current, echo, rubis, "BENCH_sim.json");
+  if (!quick) write_sim_json(loop, echo, rubis, "BENCH_sim.json");
   return 0;
 }

@@ -4,15 +4,12 @@
 #   scripts/check.sh              # default gates: normal + ASan+UBSan tier-1
 #   scripts/check.sh --fast       # normal build only (tier-1 tests plus
 #                                 # perfbench's own unit tests)
-#   scripts/check.sh --lint       # hipcloud_lint over src/ bench/ tests/ + self-test
-#   scripts/check.sh --flow       # hipcloud_flow whole-tree analysis + self-test
-#   scripts/check.sh --flow-ipa   # --flow plus the interprocedural gates:
-#                                 # cross-TU call-graph determinism at
-#                                 # several job counts against the golden
-#   scripts/check.sh --flow-wire  # --flow plus the wire-taint gates: the
-#                                 # flow-wire-* fixture self-tests and the
-#                                 # taint-map determinism dump against its
-#                                 # golden at several job counts
+#   scripts/check.sh --flow       # the static-analysis gate: builds
+#                                 # hipcloud_flow, runs the `flow`-labelled
+#                                 # tests (whole tree, fixture self-test,
+#                                 # call-graph/wire-taint determinism at
+#                                 # several job counts) and checks that the
+#                                 # baseline carries no flow-wire debt
 #   scripts/check.sh --tidy       # clang-tidy over compile_commands.json
 #                                 # (skips, not fails, if clang-tidy absent)
 #   scripts/check.sh --audit      # HIPCLOUD_AUDIT=ON build, full tier-1 +
@@ -38,7 +35,7 @@
 #                                 # path numbers) leaves perfbench/pins.json
 #   scripts/check.sh --all        # every pass above
 #
-# Flags compose (`--lint --tsan` runs exactly those two passes). Every
+# Flags compose (`--flow --tsan` runs exactly those two passes). Every
 # pass runs even if an earlier one fails; the exit status is nonzero if
 # ANY pass failed. Build parallelism honours CMAKE_BUILD_PARALLEL_LEVEL
 # and test parallelism CTEST_PARALLEL_LEVEL (both default to nproc). All
@@ -49,32 +46,26 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="${CMAKE_BUILD_PARALLEL_LEVEL:-$(nproc 2>/dev/null || echo 2)}"
 tjobs="${CTEST_PARALLEL_LEVEL:-$(nproc 2>/dev/null || echo 2)}"
 
-run_normal=0 run_san=0 run_lint=0 run_flow=0 run_flow_ipa=0 \
-  run_flow_wire=0 run_tidy=0 run_audit=0 run_tsan=0 run_bench=0 run_scale=0 \
-  run_pins=0
+run_normal=0 run_san=0 run_flow=0 run_tidy=0 run_audit=0 run_tsan=0 \
+  run_bench=0 run_scale=0 run_pins=0
 if [[ $# -eq 0 ]]; then
   run_normal=1 run_san=1
 fi
 for arg in "$@"; do
   case "$arg" in
     --fast)  run_normal=1 ;;
-    --lint)  run_lint=1 ;;
     --flow)  run_flow=1 ;;
-    --flow-ipa) run_flow=1 run_flow_ipa=1 ;;
-    --flow-wire) run_flow=1 run_flow_wire=1 ;;
     --tidy)  run_tidy=1 ;;
     --audit) run_audit=1 ;;
     --tsan)  run_tsan=1 ;;
     --bench-smoke) run_bench=1 ;;
     --scale) run_scale=1 ;;
     --pins)  run_pins=1 ;;
-    --all)   run_normal=1 run_san=1 run_lint=1 run_flow=1 run_flow_ipa=1 \
-             run_flow_wire=1 run_tidy=1 run_audit=1 run_tsan=1 run_bench=1 \
-             run_scale=1 run_pins=1 ;;
+    --all)   run_normal=1 run_san=1 run_flow=1 run_tidy=1 run_audit=1 \
+             run_tsan=1 run_bench=1 run_scale=1 run_pins=1 ;;
     *)
-      echo "usage: $0 [--fast] [--lint] [--flow] [--flow-ipa] [--flow-wire]" \
-           "[--tidy] [--audit] [--tsan] [--bench-smoke] [--scale] [--pins]" \
-           "[--all]" >&2
+      echo "usage: $0 [--fast] [--flow] [--tidy] [--audit] [--tsan]" \
+           "[--bench-smoke] [--scale] [--pins] [--all]" >&2
       exit 2
       ;;
   esac
@@ -113,60 +104,20 @@ if [[ "$run_normal" == 1 ]]; then
     python3 -B -m unittest discover -s "$root/perfbench/tests"
 fi
 
-if [[ "$run_lint" == 1 ]]; then
-  # The lint pass only needs the linter binary, not the whole tree.
-  run "lint: build hipcloud_lint" bash -c \
-    "cmake -S '$root' -B '$root/build' -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-       -DHIPCLOUD_WERROR=ON >/dev/null &&
-     cmake --build '$root/build' -j '$jobs' --target hipcloud_lint"
-  run "lint: self-test" \
-    "$root/build/tools/hipcloud_lint" --self-test "$root/tools/lint/fixtures"
-  run "lint: tree" \
-    "$root/build/tools/hipcloud_lint" --root "$root" src bench tests
-fi
-
 if [[ "$run_flow" == 1 ]]; then
-  # Flow analysis runs after lint (--all order): the cheap token linter
-  # catches style debris first, then the TU-level analyzer does the
-  # structural work. It needs the exported compile_commands.json, which
-  # the configure step below produces as a side effect.
+  # The flow tests are defined once, in tools/CMakeLists.txt, and tier-1
+  # runs them too; this pass needs only the analyzer binary and the
+  # compile_commands.json the configure step exports, not the whole tree.
   run "flow: build hipcloud_flow" bash -c \
     "cmake -S '$root' -B '$root/build' -DCMAKE_BUILD_TYPE=RelWithDebInfo \
        -DHIPCLOUD_WERROR=ON >/dev/null &&
      cmake --build '$root/build' -j '$jobs' --target hipcloud_flow"
-  run "flow: self-test" \
-    "$root/build/tools/hipcloud_flow" --self-test "$root/tools/flow/fixtures"
-  run "flow: tree" \
-    "$root/build/tools/hipcloud_flow" --root "$root" \
-    --compdb "$root/build/compile_commands.json" --jobs "$jobs"
-  if [[ "$run_flow_ipa" == 1 ]]; then
-    # Interprocedural extras: the linked cross-TU call graph and the
-    # resolved wire-taint map must be byte-identical to their goldens at
-    # every job count (extraction parallelism must never be observable
-    # in the merged summaries).
-    run "flow-ipa: call-graph determinism (jobs 1/2/8)" \
-      bash "$root/tools/flow/callgraph_determinism_test.sh" \
-      "$root/build/tools/hipcloud_flow" \
-      "$root/tools/flow/fixtures/callgraph" \
-      "$root/tools/flow/fixtures/callgraph/expected_callgraph.txt" \
-      "$root/tools/flow/fixtures/wireindex" \
-      "$root/tools/flow/fixtures/wireindex/expected_taint.txt"
-  fi
-  if [[ "$run_flow_wire" == 1 ]]; then
-    # Wire-taint extras: the resolved taint map must be byte-identical at
-    # every job count (same harness as the call graph), and the baseline
-    # must carry zero flow-wire debt — hand-rolled parsers converge onto
-    # wire::Reader instead of accumulating quotas.
-    run "flow-wire: taint-map determinism (jobs 1/2/8)" \
-      bash "$root/tools/flow/callgraph_determinism_test.sh" \
-      "$root/build/tools/hipcloud_flow" \
-      "$root/tools/flow/fixtures/callgraph" \
-      "$root/tools/flow/fixtures/callgraph/expected_callgraph.txt" \
-      "$root/tools/flow/fixtures/wireindex" \
-      "$root/tools/flow/fixtures/wireindex/expected_taint.txt"
-    run "flow-wire: no flow-wire baseline debt" \
-      bash -c "! grep -q '^flow-wire' '$root/tools/flow/baseline.flow'"
-  fi
+  run "flow: flow-labelled tests" \
+    ctest --test-dir "$root/build" -L flow -j "$tjobs" --output-on-failure
+  # Hand-rolled parsers converge onto wire::Reader instead of
+  # accumulating baseline quotas.
+  run "flow: no flow-wire baseline debt" \
+    bash -c "! grep -q '^flow-wire' '$root/tools/flow/baseline.flow'"
 fi
 
 if [[ "$run_tidy" == 1 ]]; then

@@ -4,12 +4,11 @@
 // advances every message by one round — throughput scales with lane
 // count rather than with the (serial) dependency chain of one hash.
 //
-// Tiering: 8 lanes under AVX2, 4 under SSE2+SSSE3, 2 interleaved SHA-NI
-// streams when the CPU has the SHA extensions (shani::compress2 — faster
-// than any transposed tier there), and a per-lane fallback through
-// sha256_backend::compress. Everything here is allocation-free: the ESP
-// batch path runs through HmacSha256Mb::compute on the per-packet hot
-// path.
+// Tiering: 8 lanes under AVX2, 2 interleaved SHA-NI streams when the CPU
+// has the SHA extensions (shani::compress2 — faster than the transposed
+// tier there), and a per-lane fallback through sha256_backend::compress.
+// Everything here is allocation-free: the ESP batch path runs through
+// HmacSha256Mb::compute on the per-packet hot path.
 
 #include "crypto/sha_mb.hpp"
 
@@ -46,122 +45,12 @@ constexpr std::uint32_t kRoundK[64] = {
 
 #if HIPCLOUD_HAS_SHAMB
 
-// ---- 4-lane SSE kernel -----------------------------------------------------
-
-#define SHAMB_SSE __attribute__((target("ssse3")))
-
-// Macros (not inline helpers) so the shift counts stay integer literals —
-// GCC's unoptimized intrinsic macros demand immediates.
-#define MB4_ROTR(x, n) \
-  _mm_or_si128(_mm_srli_epi32(x, n), _mm_slli_epi32(x, 32 - (n)))
-#define MB4_XOR3(x, y, z) _mm_xor_si128(_mm_xor_si128(x, y), z)
-#define MB4_BSIG0(x) MB4_XOR3(MB4_ROTR(x, 2), MB4_ROTR(x, 13), MB4_ROTR(x, 22))
-#define MB4_BSIG1(x) MB4_XOR3(MB4_ROTR(x, 6), MB4_ROTR(x, 11), MB4_ROTR(x, 25))
-#define MB4_SSIG0(x) \
-  MB4_XOR3(MB4_ROTR(x, 7), MB4_ROTR(x, 18), _mm_srli_epi32(x, 3))
-#define MB4_SSIG1(x) \
-  MB4_XOR3(MB4_ROTR(x, 17), MB4_ROTR(x, 19), _mm_srli_epi32(x, 10))
-// 4x4 32-bit transpose, in place.
-#define MB4_T4X4(r0, r1, r2, r3)                      \
-  do {                                                \
-    const __m128i t0 = _mm_unpacklo_epi32(r0, r1);    \
-    const __m128i t1 = _mm_unpacklo_epi32(r2, r3);    \
-    const __m128i t2 = _mm_unpackhi_epi32(r0, r1);    \
-    const __m128i t3 = _mm_unpackhi_epi32(r2, r3);    \
-    r0 = _mm_unpacklo_epi64(t0, t1);                  \
-    r1 = _mm_unpackhi_epi64(t0, t1);                  \
-    r2 = _mm_unpacklo_epi64(t2, t3);                  \
-    r3 = _mm_unpackhi_epi64(t2, t3);                  \
-  } while (0)
-
-SHAMB_SSE void compress4_sse(std::uint32_t (*states)[8],
-                             const std::uint8_t* const* blocks,
-                             std::size_t nblocks) {
-  const __m128i bswap =
-      _mm_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12);
-
-  // Transpose the four 8-word states into one vector per working variable.
-  __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[0]));
-  __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[1]));
-  __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[2]));
-  __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[3]));
-  MB4_T4X4(a, b, c, d);
-  __m128i e = _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[0] + 4));
-  __m128i f = _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[1] + 4));
-  __m128i g = _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[2] + 4));
-  __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[3] + 4));
-  MB4_T4X4(e, f, g, h);
-
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    const __m128i sa = a, sb = b, sc = c, sd = d;
-    const __m128i se = e, sf = f, sg = g, sh = h;
-
-    __m128i w[16];
-    for (int q = 0; q < 4; ++q) {
-      __m128i m0 = _mm_shuffle_epi8(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[0] +
-                                                           64 * blk + 16 * q)),
-          bswap);
-      __m128i m1 = _mm_shuffle_epi8(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[1] +
-                                                           64 * blk + 16 * q)),
-          bswap);
-      __m128i m2 = _mm_shuffle_epi8(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[2] +
-                                                           64 * blk + 16 * q)),
-          bswap);
-      __m128i m3 = _mm_shuffle_epi8(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[3] +
-                                                           64 * blk + 16 * q)),
-          bswap);
-      MB4_T4X4(m0, m1, m2, m3);
-      w[4 * q + 0] = m0;
-      w[4 * q + 1] = m1;
-      w[4 * q + 2] = m2;
-      w[4 * q + 3] = m3;
-    }
-
-    for (int i = 0; i < 64; ++i) {
-      if (i >= 16) {
-        w[i & 15] = _mm_add_epi32(
-            _mm_add_epi32(MB4_SSIG0(w[(i - 15) & 15]), w[(i - 7) & 15]),
-            _mm_add_epi32(MB4_SSIG1(w[(i - 2) & 15]), w[i & 15]));
-      }
-      const __m128i wk = _mm_add_epi32(
-          w[i & 15], _mm_set1_epi32(static_cast<int>(kRoundK[i])));
-      const __m128i ch =
-          _mm_xor_si128(_mm_and_si128(e, f), _mm_andnot_si128(e, g));
-      const __m128i t1 = _mm_add_epi32(_mm_add_epi32(h, MB4_BSIG1(e)),
-                                       _mm_add_epi32(ch, wk));
-      const __m128i maj = _mm_xor_si128(
-          _mm_and_si128(_mm_xor_si128(a, b), c), _mm_and_si128(a, b));
-      const __m128i t2 = _mm_add_epi32(MB4_BSIG0(a), maj);
-      h = g; g = f; f = e; e = _mm_add_epi32(d, t1);
-      d = c; c = b; b = a; a = _mm_add_epi32(t1, t2);
-    }
-
-    a = _mm_add_epi32(a, sa); b = _mm_add_epi32(b, sb);
-    c = _mm_add_epi32(c, sc); d = _mm_add_epi32(d, sd);
-    e = _mm_add_epi32(e, se); f = _mm_add_epi32(f, sf);
-    g = _mm_add_epi32(g, sg); h = _mm_add_epi32(h, sh);
-  }
-
-  MB4_T4X4(a, b, c, d);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[0]), a);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[1]), b);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[2]), c);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[3]), d);
-  MB4_T4X4(e, f, g, h);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[0] + 4), e);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[1] + 4), f);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[2] + 4), g);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[3] + 4), h);
-}
-
 // ---- 8-lane AVX2 kernel ----------------------------------------------------
 
 #define SHAMB_AVX2 __attribute__((target("avx2")))
 
+// Macros (not inline helpers) so the shift counts stay integer literals —
+// GCC's unoptimized intrinsic macros demand immediates.
 #define MB8_ROTR(x, n) \
   _mm256_or_si256(_mm256_srli_epi32(x, n), _mm256_slli_epi32(x, 32 - (n)))
 #define MB8_XOR3(x, y, z) _mm256_xor_si256(_mm256_xor_si256(x, y), z)
@@ -274,49 +163,33 @@ SHAMB_AVX2 void compress8_avx2(std::uint32_t (*states)[8],
 
 #endif  // HIPCLOUD_HAS_SHAMB
 
-// Widest transposed-SIMD tier the hardware (and env knobs) allow —
-// independent of whether we'd *choose* it.
+// Widest tier the hardware (and HIPCLOUD_NO_SHAMB) allow — independent
+// of whether we'd *choose* it.
 std::size_t hw_simd_width() {
   static const std::size_t width = [] {
     if (std::getenv("HIPCLOUD_NO_SHAMB") != nullptr) return std::size_t{1};
-    std::size_t cap = kMaxLanes;
-    if (const char* lanes = std::getenv("HIPCLOUD_SHAMB_LANES")) {
-      cap = static_cast<std::size_t>(std::strtoul(lanes, nullptr, 10));
-      if (cap == 0) cap = 1;
-      if (cap > kMaxLanes) cap = kMaxLanes;
-    }
 #if HIPCLOUD_HAS_SHAMB
     __builtin_cpu_init();
-    if (cap >= 8 && __builtin_cpu_supports("avx2")) return std::size_t{8};
-    if (cap >= 4 && __builtin_cpu_supports("sse2") &&
-        __builtin_cpu_supports("ssse3")) {
-      return std::size_t{4};
-    }
+    if (__builtin_cpu_supports("avx2")) return std::size_t{8};
     // Width 2 is not a transposed tier: it is two interleaved SHA-NI
     // streams (shani::compress2), so it needs the SHA extensions.
-    if (cap >= 2 && shani::supported()) return std::size_t{2};
+    if (shani::supported()) return std::size_t{2};
 #endif
     return std::size_t{1};
   }();
   return width;
 }
 
-// The tier actually used when nothing forces one. On SHA-NI parts the
+// The tier actually used when no test cap forces one. On SHA-NI parts the
 // single-stream kernel already outruns 8 transposed AVX2 lanes (measured
 // ~1.25x over AVX2-x8 here), and interleaving two independent streams
 // per pass hides the sha256rnds2 latency chain on top of that — so
-// batches run two lanes at a time through shani::compress2; the
-// transposed tiers carry pre-SHA-NI hosts. An explicit
-// HIPCLOUD_SHAMB_LANES still forces a tier ("1" the single stream, "4"/
-// "8" the transposed kernels) — that is how benches compare backends on
-// SHA-NI machines.
+// batches run two lanes at a time through shani::compress2; the AVX2
+// tier carries pre-SHA-NI hosts.
 std::size_t preferred_width() {
   static const std::size_t width = [] {
-    if (shani::supported() && std::getenv("HIPCLOUD_NO_SHAMB") == nullptr &&
-        std::getenv("HIPCLOUD_SHAMB_LANES") == nullptr) {
-      return std::size_t{2};
-    }
-    return hw_simd_width();
+    const std::size_t hw = hw_simd_width();
+    return hw > 1 && shani::supported() ? std::size_t{2} : hw;
   }();
   return width;
 }
@@ -329,13 +202,12 @@ std::atomic<std::size_t> g_test_cap{0};
 std::size_t lane_width() {
   const std::size_t cap = g_test_cap.load(std::memory_order_relaxed);
   if (cap == 0) return preferred_width();
-  // A test cap selects a tier outright (so SIMD kernels are testable on
-  // SHA-NI hosts, where the preferred width is 2): >=8 the AVX2 tier,
-  // >=4 the SSE tier, >=2 the dual-stream SHA-NI pair, below that
-  // single-stream — always bounded by what the hardware and env knobs
-  // support.
+  // A test cap selects a tier outright (so the AVX2 kernel is testable on
+  // SHA-NI hosts, where the preferred width is 2): >=8 the AVX2 tier, >=2
+  // the dual-stream SHA-NI pair, below that single-stream — always
+  // bounded by what the hardware and HIPCLOUD_NO_SHAMB allow.
   const std::size_t tier =
-      cap >= 8 ? 8 : cap >= 4 ? 4 : (cap >= 2 && shani::supported()) ? 2 : 1;
+      cap >= 8 ? 8 : (cap >= 2 && shani::supported()) ? 2 : 1;
   return std::min(tier, hw_simd_width());
 }
 
@@ -346,7 +218,6 @@ void set_lane_cap_for_test(std::size_t cap) {
 const char* active_name() {
   switch (lane_width()) {
     case 8: return "avx2-x8";
-    case 4: return "sse-x4";
     case 2: return "sha-ni-x2";
     // Width 1 runs lanes through the single-stream backend — report
     // which one ("sha-ni" or "scalar").
@@ -365,15 +236,11 @@ void compress_blocks(std::uint32_t (*states)[8],
     compress8_avx2(states + done, blocks + done, nblocks);
     done += 8;
   }
-  while (width >= 4 && nlanes - done >= 4) {
-    compress4_sse(states + done, blocks + done, nblocks);
-    done += 4;
-  }
 #endif
-  // Remaining lanes — the width-2 tier and any odd remainder of the
-  // transposed tiers — run pairwise through the dual-stream SHA-NI
-  // kernel when the CPU has it (width 1 means single-stream was forced,
-  // so stay off it there).
+  // Remaining lanes — the width-2 tier and any remainder of the AVX2
+  // tier — run pairwise through the dual-stream SHA-NI kernel when the
+  // CPU has it (width 1 means single-stream was forced, so stay off it
+  // there).
   if (width >= 2 && shani::supported()) {
     while (nlanes - done >= 2) {
       shani::compress2(states[done], blocks[done], states[done + 1],

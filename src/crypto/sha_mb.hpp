@@ -10,8 +10,8 @@
 namespace hipcloud::crypto {
 
 /// Multi-buffer SHA-256: hashes N *independent* messages in lock-step by
-/// keeping one message per SIMD lane (8 lanes under AVX2, 4 under
-/// SSE2/SSSE3, 2 interleaved SHA-NI streams on SHA-NI hosts). Unlike a
+/// keeping one message per SIMD lane (8 lanes under AVX2, 2 interleaved
+/// SHA-NI streams on SHA-NI hosts). Unlike a
 /// single SHA-NI stream, these tiers scale with batch width, which is
 /// exactly the shape of the ESP send queue: many small packets wanting
 /// independent ICVs in the same event tick. Digests are byte-identical
@@ -22,27 +22,24 @@ namespace shamb {
 /// Upper bound on lanes any backend steps at once (AVX2 width).
 inline constexpr std::size_t kMaxLanes = 8;
 
-/// Lanes the active backend compresses per step: 8 (AVX2), 4 (SSE), 2
-/// (two interleaved SHA-NI streams — the default on SHA-NI hosts), or 1
+/// Lanes the active backend compresses per step: 8 (AVX2), 2 (two
+/// interleaved SHA-NI streams — the default on SHA-NI hosts), or 1
 /// (per-lane fallback through sha256_backend, which may itself be
-/// SHA-NI). Honors `HIPCLOUD_NO_SHAMB` (force 1) and
-/// `HIPCLOUD_SHAMB_LANES` (cap: "4" exercises the SSE tier on AVX2
-/// hardware, "1" forces the single stream) — both read once at first
-/// use.
+/// SHA-NI). Honors `HIPCLOUD_NO_SHAMB` (force 1), read once at first use.
 std::size_t lane_width();
 
 /// Test hook mirroring sha256_backend::set_for_test: cap the lane width
-/// in-process (0 = auto, else 1/2/4/8). Lets the parity fuzz test sweep
+/// in-process (0 = auto, else 1/2/8). Lets the parity fuzz test sweep
 /// every tier in a single run regardless of env.
 void set_lane_cap_for_test(std::size_t cap);
 
 /// Name of the widest tier compress_blocks() would use ("avx2-x8",
-/// "sse-x4", "sha-ni-x2", or "scalar").
+/// "sha-ni-x2", or at width 1 the single-stream backend's name).
 const char* active_name();
 
 /// Advance `nlanes` independent SHA-256 states by `nblocks` 64-byte
 /// blocks each: states[l] absorbs blocks[l][0 .. 64*nblocks). Splits
-/// internally into x8 / x4 SIMD groups plus a per-lane tail, so any
+/// internally into x8 SIMD groups plus a pairwise/per-lane tail, so any
 /// nlanes is legal. The per-lane block streams must not alias.
 void compress_blocks(std::uint32_t (*states)[8],
                      const std::uint8_t* const* blocks, std::size_t nlanes,

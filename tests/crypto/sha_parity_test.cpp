@@ -132,8 +132,8 @@ TEST(ShaParity, MultiBufferMatchesStreamingHmacAtEveryLaneWidth) {
     }
 
     sha256_backend::set_for_test(sha256_backend::Kind::kAuto);
-    for (const std::size_t cap : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{4}, std::size_t{8}}) {
+    for (const std::size_t cap :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       shamb::set_lane_cap_for_test(cap);
       HmacSha256Mb mb(key);
       std::vector<Bytes> got(msgs.size(), Bytes(HmacSha256::kDigestSize));
@@ -169,10 +169,6 @@ TEST(ShaParity, EnvOptOutsAreHonored) {
     EXPECT_EQ(shamb::lane_width(), 1u);
     // Width 1 reports the single-stream backend it falls back to.
     EXPECT_STREQ(shamb::active_name(), sha256_backend::active_name());
-  }
-  if (const char* lanes = std::getenv("HIPCLOUD_SHAMB_LANES")) {
-    EXPECT_LE(shamb::lane_width(),
-              static_cast<std::size_t>(std::strtoul(lanes, nullptr, 10)));
   }
 }
 

@@ -716,11 +716,178 @@ void analyze_shard_shared(const std::vector<Token>& t, const FileTable& files,
   }
 }
 
+// --------------------------------------------------------------------------
+// 7. Determinism and idiom token rules: short token patterns over the
+//    whole TU. Each finding is scoped by the path of the file its token
+//    came from, so a src/sim/ header inlined into a src/net/ TU keeps the
+//    sim/ exemptions.
+
+bool under(const std::string& path, const char* prefix) {
+  return path.rfind(prefix, 0) == 0;
+}
+
+/// wall-clock: std::chrono clocks, std::random_device, std::rand and
+/// time(nullptr) outside sim::, which owns virtual time and the seeded
+/// DRBG. The shard seam (src/sim/shard.*) runs on real worker threads,
+/// where a clock or entropy read is exactly the cross-thread leak this
+/// rule exists to catch, so the sim/ exemption does not cover it.
+void rule_wall_clock(const std::vector<Token>& t, std::size_t i,
+                     const std::string& path, std::vector<Finding>& out) {
+  if (under(path, "src/sim/") && !under(path, "src/sim/shard.")) return;
+  static const std::set<std::string> kClocks = {
+      "steady_clock", "system_clock", "high_resolution_clock"};
+  const std::string& s = t[i].text;
+  std::string msg;
+  if (kClocks.count(s) != 0) {
+    msg = "std::chrono::" + s +
+          " reads real time; use the event loop's virtual now()";
+  } else if (s == "random_device") {
+    msg = "std::random_device is non-deterministic; seed sim::Rng / "
+          "HmacDrbg instead";
+  } else if (s == "rand" && tok(t, i - 1) == "::" && tok(t, i - 2) == "std") {
+    msg = "std::rand is a hidden global RNG; use the world's seeded "
+          "generator";
+  } else if (s == "time" && tok(t, i + 1) == "(" &&
+             (tok(t, i + 2) == "nullptr" || tok(t, i + 2) == "NULL" ||
+              tok(t, i + 2) == "0")) {
+    msg = "time(nullptr) reads the wall clock; use the event loop's "
+          "virtual now()";
+  }
+  if (!msg.empty()) out.push_back({path, t[i].line, "wall-clock", msg});
+}
+
+/// raw-alloc: raw new/delete on the packet path (src/net, src/hip,
+/// src/apps), where the pooled buffer arena and make_unique/make_shared
+/// own all allocation.
+void rule_raw_alloc(const std::vector<Token>& t, std::size_t i,
+                    const std::string& path, const AnalysisOptions& opts,
+                    std::vector<Finding>& out) {
+  if (!opts.all_paths && !under(path, "src/net/") &&
+      !under(path, "src/hip/") && !under(path, "src/apps/")) {
+    return;
+  }
+  const std::string& s = t[i].text;
+  if (s == "new") {
+    out.push_back({path, t[i].line, "raw-alloc",
+                   "raw `new` on the packet path; use make_unique/"
+                   "make_shared or the BufferPool"});
+  } else if (s == "delete" && tok(t, i - 1) != "=" &&
+             tok(t, i - 1) != "operator") {
+    // `= delete` declarations and operator delete are not allocation.
+    out.push_back({path, t[i].line, "raw-alloc",
+                   "raw `delete` on the packet path; owning types should "
+                   "manage lifetime"});
+  }
+}
+
+/// self-capture: `x->method([x]{...})` or `x->method([a, x]{...})` — the
+/// callback keeps its own owner alive, the shared_ptr cycle that leaked
+/// TcpConnections. Only a plain-copy capture item closes the cycle:
+/// `[&x]` takes no ownership, and in init-captures
+/// (`[w = std::weak_ptr<T>(x)]`) `x` is not a direct list item.
+void rule_self_capture(const std::vector<Token>& t, std::size_t i,
+                       const std::string& path, std::vector<Finding>& out) {
+  if (tok(t, i + 1) != "->" || tok(t, i + 3) != "(" || tok(t, i + 4) != "[" ||
+      !is_ident(t[i].text)) {
+    return;
+  }
+  const std::string& obj = t[i].text;
+  for (std::size_t j = i + 5; j < t.size() && t[j].text != "]"; ++j) {
+    const std::string& prev = tok(t, j - 1);
+    const std::string& next = tok(t, j + 1);
+    if (t[j].text == obj && (prev == "[" || prev == ",") &&
+        (next == "," || next == "]")) {
+      out.push_back({path, t[j].line, "self-capture",
+                     "`" + obj + "` captures itself by value in a callback "
+                     "it installs on itself — shared_ptr reference cycle "
+                     "(leak)"});
+      return;
+    }
+  }
+}
+
+/// eager-log: Log::write builds its std::string argument before the
+/// level check; only the sink itself (src/sim/log.*) may call it, and
+/// everything else goes through the lazy HIPCLOUD_LOG macro.
+void rule_eager_log(const std::vector<Token>& t, std::size_t i,
+                    const std::string& path, std::vector<Finding>& out) {
+  if (under(path, "src/sim/log.")) return;
+  if (t[i].text == "Log" && tok(t, i + 1) == "::" && tok(t, i + 2) == "write") {
+    out.push_back({path, t[i].line, "eager-log",
+                   "raw sim::Log::write() builds the message eagerly; use "
+                   "HIPCLOUD_LOG (lazy format)"});
+  }
+}
+
+/// unordered-iter: a range-for over a std::unordered_{map,set}. Hash-table
+/// iteration order is implementation-defined, so anything it feeds
+/// (scheduling, wire output, aggregation) diverges across platforms. The
+/// declared names come from the whole TU, so a member declared in a
+/// header and iterated in the .cpp is caught too.
+void rule_unordered_iter(const std::vector<Token>& t, const FileTable& files,
+                         std::vector<Finding>& out) {
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i].text != "unordered_map" && t[i].text != "unordered_set") continue;
+    std::size_t j = i + 1;
+    if (tok(t, j) != "<") continue;
+    int depth = 0;
+    for (; j < t.size(); ++j) {
+      if (t[j].text == "<") ++depth;
+      if (t[j].text == ">" && --depth == 0) break;
+    }
+    ++j;  // past '>'
+    while (tok(t, j) == "&" || tok(t, j) == "*") ++j;
+    if (is_ident(tok(t, j))) names.insert(tok(t, j));
+  }
+  if (names.empty()) return;
+
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i].text != "for" || tok(t, i + 1) != "(") continue;
+    // The matching ')' and the first top-level ':' inside it; a classic
+    // for has no such colon.
+    int depth = 0;
+    std::size_t colon = 0, end = 0;
+    for (std::size_t j = i + 1; j < t.size(); ++j) {
+      const std::string& s = t[j].text;
+      if (s == "(" || s == "[" || s == "{") ++depth;
+      if ((s == ")" || s == "]" || s == "}") && --depth == 0) {
+        end = j;
+        break;
+      }
+      if (s == ":" && depth == 1 && colon == 0) colon = j;
+    }
+    if (colon == 0 || end == 0) continue;
+    for (std::size_t j = colon + 1; j < end; ++j) {
+      if (names.count(t[j].text) == 0) continue;
+      out.push_back({files.path(t[j].file), t[j].line, "unordered-iter",
+                     "range-for over std::unordered_* `" + t[j].text +
+                         "`: iteration order is implementation-defined and "
+                         "breaks cross-platform determinism"});
+      break;
+    }
+  }
+}
+
+void analyze_token_rules(const std::vector<Token>& t, const FileTable& files,
+                         const AnalysisOptions& opts,
+                         std::vector<Finding>& out) {
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const std::string& path = files.path(t[i].file);
+    rule_wall_clock(t, i, path, out);
+    rule_raw_alloc(t, i, path, opts, out);
+    rule_self_capture(t, i, path, out);
+    rule_eager_log(t, i, path, out);
+  }
+  rule_unordered_iter(t, files, out);
+}
+
 }  // namespace
 
 void analyze_tu(const TranslationUnit& tu, const FileTable& files,
                 const AnalysisOptions& opts, std::vector<Finding>& out) {
   analyze_layering(tu, files, out);
+  analyze_token_rules(tu.tokens, files, opts, out);
 
   std::vector<FnSpan> fns = find_fn_spans(tu.tokens);
   mark_hot(tu.tokens, files, opts, fns);

@@ -1,8 +1,8 @@
 // hipcloud_flow analyses.
 //
-// Five flow-aware checks over preprocessed translation units. Rule names
-// all carry the `flow-` prefix so `hipcheck:allow(...)` pragmas can never
-// collide with the PR 4 token linter's rules:
+// Flow-aware checks over preprocessed translation units. The structural
+// rules carry a `flow-` prefix; the five determinism and idiom token
+// rules keep their short names:
 //
 //   flow-layering        include edge violates the layer DAG
 //                        sim < crypto < net < {hip,tls} < apps < cloud < core
@@ -33,6 +33,18 @@
 //                        shard-ownership family; see ownership.hpp)
 //   flow-shard-shared    a write to hipcheck:shard_shared state outside
 //                        a hipcheck:seam function
+//   wall-clock           std::chrono clocks, std::random_device, std::rand
+//                        or time(nullptr) outside src/sim/ (the shard seam
+//                        src/sim/shard.* is not exempt)
+//   unordered-iter       range-for over a std::unordered_{map,set} the TU
+//                        declares — hash-table order is implementation-
+//                        defined
+//   raw-alloc            raw new/delete in src/net, src/hip or src/apps
+//   self-capture         `x->on_foo([x]{...})`: a shared_ptr keeps itself
+//                        alive through its own callback
+//   eager-log            raw sim::Log::write() outside src/sim/log.* — the
+//                        message is built before the level filter; use the
+//                        lazy HIPCLOUD_LOG
 #pragma once
 
 #include <map>
@@ -66,8 +78,9 @@ struct Finding {
 
 struct AnalysisOptions {
   // In tree mode the taint/ct-compare family is scoped to src/ (tests
-  // legitimately compare derived keys with EXPECT_EQ); self-test mode
-  // turns every rule on for every fixture path.
+  // legitimately compare derived keys with EXPECT_EQ) and raw-alloc to
+  // the packet-path layers; self-test mode turns those rules on for
+  // every fixture path.
   bool all_paths = false;
   // Lines (per physical file) carrying a `hipcheck:hot` marker; a
   // function whose name line is within 3 lines below a marker is hot.

@@ -1,12 +1,14 @@
-// hipcloud_flow — flow-aware static analyzer for the hipcloud tree.
+// hipcloud_flow — the in-tree static analyzer for the hipcloud tree.
 //
-// Where PR 4's hipcloud_lint matches token patterns inside single files,
-// this tool preprocesses whole translation units (include resolution,
-// object-like macro expansion, include graph) and runs five structural
+// It preprocesses whole translation units (include resolution,
+// object-like macro expansion, include graph) and runs the per-TU
 // analyses over them: the layering DAG, secret-taint to log/JSON sinks,
 // pooled-Buffer lifetime across EventLoop suspension points, hot-path
-// allocation, and exception flow out of event callbacks. See
-// analysis.hpp for the rule catalogue and DESIGN.md §5f for the policy.
+// allocation, exception flow out of event callbacks, and the five
+// determinism and idiom token rules (wall-clock, unordered-iter,
+// raw-alloc, self-capture, eager-log). The cross-TU shard-ownership and
+// wire-taint passes run over the linked call graph. See analysis.hpp for
+// the rule catalogue and DESIGN.md §5f for the policy.
 //
 //   hipcloud_flow --root DIR [--compdb FILE] [--jobs N] [dirs...]
 //   hipcloud_flow --self-test FIXTURE_DIR
@@ -19,10 +21,10 @@
 // the justified baseline file, and prints what survives sorted by
 // (file, line, rule) — byte-identical output at any job count.
 //
-// Suppression discipline (same as hipcheck):
-//   * `// hipcheck:allow(flow-x): why` on the finding's line or the line
-//     above suppresses exactly one finding; an allow that suppresses
-//     nothing is itself an error.
+// Suppression discipline:
+//   * `// hipcheck:allow(<rule>): why` on the finding's line or the line
+//     above suppresses exactly one finding; an allow without a
+//     justification, or one that suppresses nothing, is itself an error.
 //   * tools/flow/baseline.flow carries pre-existing debt as
 //     `<rule> <file> <count> : <justification>` quotas; a quota that is
 //     no longer fully consumed is an error, so the baseline only ratchets
@@ -30,11 +32,11 @@
 //   * `// hipcheck:hot` above a function definition puts it (and its
 //     same-TU callees, transitively) in the hot-path allocation set.
 //
-// Self-test mode mirrors the linter's: every fixture annotates expected
-// findings with `// hipcheck:expect(<rule>)`; the run fails on any
-// mismatch in either direction. Fixture subdirectories containing a
-// `src/` are analyzed as miniature trees (layer rules live), everything
-// else file-by-file.
+// Self-test mode: every fixture annotates expected findings with
+// `// hipcheck:expect(<rule>)`; the run fails on any mismatch in either
+// direction. Fixture subdirectories containing a `src/` are analyzed as
+// miniature trees (layer and path-scoped rules live, paths relative to
+// the subdirectory), everything else file-by-file.
 
 #include <algorithm>
 #include <cctype>
@@ -194,9 +196,6 @@ void scan_file_pragmas(const std::string& rel, const std::string& src,
         continue;
       }
       const std::string rule = raw.substr(open, close - open);
-      // Rules without the flow- prefix belong to hipcloud_lint; ignore
-      // them so both tools can annotate the same file.
-      if (rule.rfind("flow-", 0) != 0) continue;
       if (kind == std::string("expect")) {
         px.expects.push_back({rel, line, rule});
         continue;

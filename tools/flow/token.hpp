@@ -1,9 +1,8 @@
-// hipcloud_flow token model — the PR 4 hipcheck tokenizer, extended with
-// file attribution so tokens survive preprocessing. A translation unit's
-// token stream interleaves tokens from the .cpp and from every project
-// header it pulls in; each token remembers the physical file and line it
-// came from, which is where findings (and their hipcheck:allow pragmas)
-// are reported.
+// hipcloud_flow token model, with file attribution so tokens survive
+// preprocessing. A translation unit's token stream interleaves tokens
+// from the .cpp and from every project header it pulls in; each token
+// remembers the physical file and line it came from, which is where
+// findings (and their hipcheck:allow pragmas) are reported.
 #pragma once
 
 #include <cstdint>

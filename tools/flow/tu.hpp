@@ -1,12 +1,12 @@
 // hipcloud_flow translation-unit model.
 //
-// The preprocessor is the part PR 4's linter deliberately lacked: it
-// resolves `#include "..."` against the project include directories,
-// inlines each project header once per TU (tracking the include stack, so
-// textual include cycles are caught even though `#pragma once` would mask
-// them at compile time), records every include edge with its source
-// location, and keeps a table of object-like `#define`s which it expands
-// (depth-limited) in the token stream. System includes (`<...>`) and
+// The preprocessor resolves `#include "..."` against the project include
+// directories, inlines each project header once per TU (tracking the
+// include stack, so textual include cycles are caught even though
+// `#pragma once` would mask them at compile time), records every include
+// edge with its source location, and keeps a table of object-like
+// `#define`s which it expands (depth-limited) in the token stream.
+// System includes (`<...>`) and
 // unresolvable quotes are recorded as edges but not descended into.
 //
 // Conditional compilation is handled permissively: `#if 0` blocks are
