@@ -1,8 +1,9 @@
 // Determinism auditor (hipcheck part 3).
 //
-// Every EventLoop folds each event firing `(when, seq, slot)` into a
-// rolling FNV-1a hash (sim::PerfCounters::determinism_hash), so one
-// 64-bit word captures the complete firing order of a world. This
+// Every EventLoop folds each event firing `(when, seq)` into a rolling
+// FNV-1a hash (sim::PerfCounters::determinism_hash), so one 64-bit word
+// captures the complete firing order of a world. The arena slot an event
+// occupies is not folded: slot reuse is engine bookkeeping. This
 // harness replays the same sweep of (clients, mode) worlds under
 // different host-side execution conditions and diffs the per-world hash
 // streams:

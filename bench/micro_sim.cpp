@@ -65,15 +65,17 @@ double seconds_since(Clock::time_point t0) {
 
 // ---------------------------------------------------------------------------
 // Event-loop workloads on sim::EventLoop: waves of scheduled events
-// (timer churn), plus an RTO-style schedule-then-cancel storm.
+// (timer churn), an RTO-style schedule-then-cancel storm, and the same
+// re-arm storm through reschedule(), which is how TCP re-arms its RTO.
 
 struct LoopScore {
   double schedule_fire_mops;  // schedule+fire pairs per second, millions
   double cancel_mops;         // schedule+cancel pairs per second, millions
+  double reschedule_mops;     // in-place re-arms per second, millions
 };
 
 // Captured state sized like the real hot callbacks: the link-delivery
-// lambda captures a Packet by value (~112 bytes), timer lambdas capture a
+// lambda captures a Packet by value (104 bytes), timer lambdas capture a
 // shared_ptr plus sequencing state. An honest schedule/fire benchmark must
 // carry a realistic capture, not an 8-byte counter reference.
 struct CallbackState {
@@ -124,6 +126,34 @@ LoopScore run_loop_bench(std::size_t events, std::size_t churn) {
       done += n;
     }
     score.cancel_mops = static_cast<double>(done) / seconds_since(t0) / 1e6;
+  }
+  {
+    sim::EventLoop loop;
+    std::uint64_t fired = 0;
+    const CallbackState st{&fired, {}};
+    const auto t0 = Clock::now();
+    // kTimers armed RTOs; every wave acks each connection once, pushing
+    // its timer out again (jittered, so entries move both ways), then
+    // the clock advances one tick.
+    constexpr std::size_t kTimers = 1024;
+    std::vector<sim::EventHandle> timers;
+    timers.reserve(kTimers);
+    for (std::size_t i = 0; i < kTimers; ++i) {
+      timers.push_back(loop.schedule(100, [st] { ++*st.fired; }));
+    }
+    std::size_t done = 0;
+    while (done < churn) {
+      const std::size_t n = std::min(kTimers, churn - done);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto rto = static_cast<std::int64_t>(100 + (done + i) % 7);
+        loop.reschedule(timers[i], rto);
+      }
+      loop.run(loop.now() + 1);
+      done += n;
+    }
+    loop.run();
+    score.reschedule_mops =
+        static_cast<double>(done) / seconds_since(t0) / 1e6;
   }
   return score;
 }
@@ -263,7 +293,9 @@ void write_sim_json(const LoopScore& loop, const EchoScore& echo,
   std::fprintf(f, "  \"event_loop\": {\n");
   std::fprintf(f, "    \"schedule_fire_mops\": %.2f,\n",
                loop.schedule_fire_mops);
-  std::fprintf(f, "    \"schedule_cancel_mops\": %.2f\n", loop.cancel_mops);
+  std::fprintf(f, "    \"schedule_cancel_mops\": %.2f,\n", loop.cancel_mops);
+  std::fprintf(f, "    \"schedule_reschedule_mops\": %.2f\n",
+               loop.reschedule_mops);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"tcp_echo\": {\n");
   std::fprintf(f, "    \"round_trips\": %llu,\n",
@@ -312,8 +344,10 @@ int main(int argc, char** argv) {
   const auto loop = run_loop_bench(events, churn);
   std::printf("event loop (sim::EventLoop)\n"
               "  schedule+fire: %8.2f M ops/s\n"
-              "  schedule+cancel: %6.2f M ops/s\n\n",
-              loop.schedule_fire_mops, loop.cancel_mops);
+              "  schedule+cancel: %6.2f M ops/s\n"
+              "  reschedule: %11.2f M ops/s\n\n",
+              loop.schedule_fire_mops, loop.cancel_mops,
+              loop.reschedule_mops);
 
   const auto echo = run_tcp_echo(echos);
   std::printf("tcp echo (1 KiB, %llu round trips)\n"

@@ -316,10 +316,6 @@ void HipDaemon::debug_force_state(const net::Ipv6Addr& peer_hit,
 // ---------------------------------------------------------------------------
 // Cost helpers
 
-void HipDaemon::charge(double cycles, std::function<void()> then) {
-  node_->cpu().run(cycles, std::move(then));
-}
-
 double HipDaemon::sign_cycles() const {
   if (identity_.algorithm() == HiAlgorithm::kEcdsa) {
     return config_.costs.ecdsa_p256_sign_cycles;
@@ -471,10 +467,8 @@ void HipDaemon::flush_esp_out_queue() {
       head.skipped = true;
       continue;
     }
-    std::vector<EspSa::ProtectJob> batch;
-    std::vector<std::size_t> positions;
-    batch.reserve(esp_out_queue_.size() - i);
-    positions.reserve(esp_out_queue_.size() - i);
+    std::vector<EspSa::ProtectJob>& batch = esp_out_batch_;
+    std::vector<std::size_t>& positions = esp_batch_positions_;
     for (std::size_t j = i; j < esp_out_queue_.size(); ++j) {
       EspOutJob& job = esp_out_queue_[j];
       if (job.protected_ || job.skipped || job.peer_hit != head.peer_hit) {
@@ -489,6 +483,8 @@ void HipDaemon::flush_esp_out_queue() {
       esp_out_queue_[positions[k]].buf = std::move(batch[k].buf);
       esp_out_queue_[positions[k]].protected_ = true;
     }
+    batch.clear();
+    positions.clear();
   }
 }
 
@@ -516,10 +512,8 @@ void HipDaemon::flush_esp_in_queue() {
       head.skipped = true;
       continue;
     }
-    std::vector<EspSa::UnprotectJob> batch;
-    std::vector<std::size_t> positions;
-    batch.reserve(esp_in_queue_.size() - i);
-    positions.reserve(esp_in_queue_.size() - i);
+    std::vector<EspSa::UnprotectJob>& batch = esp_in_batch_;
+    std::vector<std::size_t>& positions = esp_batch_positions_;
     for (std::size_t j = i; j < esp_in_queue_.size(); ++j) {
       EspInJob& job = esp_in_queue_[j];
       if (job.unprotected || job.skipped) continue;
@@ -535,6 +529,10 @@ void HipDaemon::flush_esp_in_queue() {
       esp_in_queue_[positions[k]].result = std::move(batch[k].result);
       esp_in_queue_[positions[k]].unprotected = true;
     }
+    // Emptied now, not on the next flush: a rejected packet's wire
+    // buffer goes back to the pool here.
+    batch.clear();
+    positions.clear();
   }
 }
 

@@ -310,7 +310,10 @@ class HipDaemon {
   const Association* find_assoc(const net::Ipv6Addr& peer_hit) const;
   void send_control(const HipMessage& msg, const net::IpAddr& dst,
                     std::optional<net::IpAddr> src = std::nullopt);
-  void charge(double cycles, std::function<void()> then);
+  template <typename F>
+  void charge(double cycles, F&& then) {
+    node_->cpu().run(cycles, std::forward<F>(then));
+  }
   std::uint32_t fresh_spi();
   double sign_cycles() const;
   double verify_cycles(crypto::BytesView peer_hi) const;
@@ -344,6 +347,10 @@ class HipDaemon {
 
   std::deque<EspOutJob> esp_out_queue_;
   std::deque<EspInJob> esp_in_queue_;
+  // Flush scratch, reused across batches and emptied after each one.
+  std::vector<EspSa::ProtectJob> esp_out_batch_;
+  std::vector<EspSa::UnprotectJob> esp_in_batch_;
+  std::vector<std::size_t> esp_batch_positions_;
 
   Stats stats_;
   EstablishedFn on_established_;

@@ -26,35 +26,36 @@ Link::Direction& Link::direction_from(const Node* from) {
   throw std::logic_error("Link::transmit: node not attached");
 }
 
+// Releases the payload of a packet the link will not carry right here,
+// so its block is back in the buffer pool before the sender allocates
+// again.
+bool Link::drop(Packet& pkt) {
+  ++dropped_;
+  pkt.payload = crypto::Buffer();
+  return false;
+}
+
 // hipcheck:hot
-bool Link::transmit(Packet pkt, const Node* from) {
+bool Link::transmit(Packet&& pkt, const Node* from) {
   auto& loop = net_.loop();
-  if (down_) {
-    ++dropped_;
-    return false;
-  }
+  if (down_) return drop(pkt);
   if (pkt.wire_size() > config_.mtu + 20) {
     // +20: grace for the structured L3 header bookkeeping; anything
     // beyond is a genuine MTU violation by a mis-sized sender.
-    ++dropped_;
     HIPCLOUD_LOG(sim::LogLevel::kDebug, loop.now(), "link",
                  "MTU drop " + pkt.describe());
-    return false;
+    return drop(pkt);
   }
   const double loss =
       config_.loss_rate + fault_loss_ - config_.loss_rate * fault_loss_;
-  if (loss > 0.0 && net_.rng().uniform() < loss) {
-    ++dropped_;
-    return false;
-  }
+  if (loss > 0.0 && net_.rng().uniform() < loss) return drop(pkt);
   Direction& dir = direction_from(from);
   const sim::Time now = loop.now();
   const sim::Time start = std::max(now, dir.busy_until);
   if (start - now > config_.max_queue_delay) {
-    ++dropped_;
     HIPCLOUD_LOG(sim::LogLevel::kDebug, now, "link",
                  "queue drop " + pkt.describe());
-    return false;
+    return drop(pkt);
   }
   const auto serialization = static_cast<sim::Duration>(
       static_cast<double>(pkt.wire_size()) * 8.0 / config_.bandwidth_bps *
@@ -63,25 +64,17 @@ bool Link::transmit(Packet pkt, const Node* from) {
   ++delivered_;
   delivered_bytes_ += pkt.wire_size();
 
-  Node* to = dir.to;
   const sim::Time arrival = dir.busy_until + config_.latency;
-  schedule_delivery(arrival, to, std::move(pkt));
+  schedule_delivery(arrival, dir.to, dir.to_iface, std::move(pkt));
   return true;
 }
 
-void Link::schedule_delivery(sim::Time arrival, Node* to, Packet pkt) {
-  // Destination interface index: found at delivery time to keep Link
-  // independent of attachment order.
-  net_.loop().schedule_at(arrival, [to, this, p = std::move(pkt)]() mutable {
-    std::size_t iface = 0;
-    for (std::size_t i = 0; i < to->interface_count(); ++i) {
-      if (to->link_at(i) == this) {
-        iface = i;
-        break;
-      }
-    }
-    to->deliver(std::move(p), iface);
-  });
+void Link::schedule_delivery(sim::Time arrival, Node* to,
+                             std::size_t to_iface, Packet&& pkt) {
+  net_.loop().schedule_at(arrival,
+                          [to, to_iface, p = std::move(pkt)]() mutable {
+                            to->deliver(std::move(p), to_iface);
+                          });
 }
 
 }  // namespace hipcloud::net

@@ -36,10 +36,20 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Transmit a packet from `from` towards the opposite endpoint.
-  /// Returns false when the packet was dropped (queue overflow, loss or
-  /// MTU violation).
-  bool transmit(Packet pkt, const Node* from);
+  /// Transmit a packet from `from` towards the opposite endpoint. The
+  /// link consumes `pkt` either way: it moves on towards the receiver, or
+  /// its payload is released here. Returns false when the packet was
+  /// dropped (queue overflow, loss or MTU violation).
+  bool transmit(Packet&& pkt, const Node* from);
+
+  /// Record the interface index this link occupies on each endpoint, so
+  /// a delivery hands the packet to the right interface without
+  /// searching. Network::connect and ShardedWorld::connect_cross call it
+  /// once, right after attaching.
+  void set_interfaces(std::size_t iface_a, std::size_t iface_b) {
+    backward_.to_iface = iface_a;
+    forward_.to_iface = iface_b;
+  }
 
   Node* peer_of(const Node* node) const;
   const LinkConfig& config() const { return config_; }
@@ -63,22 +73,26 @@ class Link {
  protected:
   /// Delivery hook: transmit() has done loss/queue/serialization and
   /// computed the arrival instant; this schedules the actual handoff to
-  /// `to`. The base implementation schedules into this world's own loop.
+  /// `to` on its interface `to_iface`. The base implementation schedules
+  /// into this world's own loop.
   /// Cross-shard half-links override it to post the delivery into the
   /// destination shard's future through the shard coordinator — every
   /// other physics stays identical, and all of it runs on the sending
   /// shard's thread against the sending shard's rng/counters.
-  virtual void schedule_delivery(sim::Time arrival, Node* to, Packet pkt);
+  virtual void schedule_delivery(sim::Time arrival, Node* to,
+                                 std::size_t to_iface, Packet&& pkt);
 
   Network& network() { return net_; }
 
  private:
   struct Direction {
     Node* to = nullptr;
+    std::size_t to_iface = 0;  // this link's interface index on `to`
     sim::Time busy_until = 0;
   };
 
   Direction& direction_from(const Node* from);
+  bool drop(Packet& pkt);
 
   Network& net_;
   LinkConfig config_;

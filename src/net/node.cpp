@@ -31,6 +31,10 @@ bool prefix_match(const IpAddr& addr, const IpAddr& prefix, int prefix_len) {
   return true;
 }
 
+/// Releases the payload of a packet a send path will not carry on, so
+/// its block is back in the buffer pool before the caller goes on.
+void discard(Packet& pkt) { pkt.payload = crypto::Buffer(); }
+
 }  // namespace
 
 Node::Node(Network& net, std::string name, double cpu_cycles_per_second)
@@ -140,17 +144,17 @@ std::size_t Node::path_overhead(const IpAddr& dst) const {
 }
 
 // hipcheck:hot
-void Node::send(Packet pkt) {
-  if (down_) return;
+void Node::send(Packet&& pkt) {
+  if (down_) return discard(pkt);
   for (const auto& shim : shims_) {
-    if (shim->outbound(pkt)) return;  // consumed; shim re-injects
+    if (shim->outbound(pkt)) return discard(pkt);  // consumed; shim re-injects
   }
   send_raw(std::move(pkt));
 }
 
 // hipcheck:hot
-void Node::send_raw(Packet pkt) {
-  if (down_) return;
+void Node::send_raw(Packet&& pkt) {
+  if (down_) return discard(pkt);
   // Loopback: packets to our own address short-circuit through the stack
   // with no wire cost (matches OS loopback behaviour).
   if (owns_address(pkt.dst)) {
@@ -164,7 +168,7 @@ void Node::send_raw(Packet pkt) {
     ++dropped_no_route_;
     HIPCLOUD_LOG(sim::LogLevel::kDebug, net_.loop().now(), name_.c_str(),
                  "no route to " + pkt.dst.to_string());
-    return;
+    return discard(pkt);
   }
   ++sent_packets_;
   ifaces_[route->iface].link->transmit(std::move(pkt), this);
@@ -232,7 +236,9 @@ Network::Attachment Network::connect(Node* a, Node* b,
                                      const LinkConfig& config) {
   links_.push_back(std::make_unique<Link>(*this, a, b, config));
   Link* link = links_.back().get();
-  return Attachment{link, a->attach_link(link), b->attach_link(link)};
+  const Attachment att{link, a->attach_link(link), b->attach_link(link)};
+  link->set_interfaces(att.iface_a, att.iface_b);
+  return att;
 }
 
 Node* Network::find(const std::string& name) const {

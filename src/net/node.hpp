@@ -109,11 +109,13 @@ class Node {
   void set_forwarding(bool enabled) { forwarding_ = enabled; }
 
   /// --- data path -------------------------------------------------------
+  /// Both send paths consume `pkt`: it moves on down the stack, or its
+  /// payload is released before they return.
   /// Send a locally-originated packet (runs shims, then routes).
-  void send(Packet pkt);
+  void send(Packet&& pkt);
   /// Route and transmit without shim processing (used by shims to emit
   /// their transformed packets).
-  void send_raw(Packet pkt);
+  void send_raw(Packet&& pkt);
   /// Called by Link on packet arrival.
   void deliver(Packet&& pkt, std::size_t in_iface);
 

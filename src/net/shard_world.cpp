@@ -8,10 +8,10 @@
 namespace hipcloud::net {
 
 // hipcheck:seam — the one sanctioned shard crossing in the network layer:
-// the posted callback touches only by-value copies (twin/node pointers
-// resolve on the destination shard; the payload is re-staged pool-free).
+// the posted callback touches only by-value copies (node pointer and
+// interface index; the payload is re-staged pool-free).
 void CrossLinkHalf::schedule_delivery(sim::Time arrival, Node* to,
-                                      Packet pkt) {
+                                      std::size_t to_iface, Packet&& pkt) {
   // The payload may sit in a pooled block owned by the sending shard's
   // BufferPool; pools are single-threaded, so the block must not cross
   // the seam (the destination would run its destructor and push it onto
@@ -24,18 +24,9 @@ void CrossLinkHalf::schedule_delivery(sim::Time arrival, Node* to,
                         pkt.payload.tailroom());
   network().perf().payload_bytes_copied += pkt.payload.size();
   pkt.payload = std::move(staged);
-  CrossLinkHalf* twin = twin_;
-  HIPCLOUD_CHECK(twin != nullptr, "cross-shard half-link has no twin");
   coord_.post(src_shard_, dst_shard_, arrival,
-              [to, twin, p = std::move(pkt)]() mutable {
-                std::size_t iface = 0;
-                for (std::size_t i = 0; i < to->interface_count(); ++i) {
-                  if (to->link_at(i) == twin) {
-                    iface = i;
-                    break;
-                  }
-                }
-                to->deliver(std::move(p), iface);
+              [to, to_iface, p = std::move(pkt)]() mutable {
+                to->deliver(std::move(p), to_iface);
               });
 }
 
@@ -66,13 +57,15 @@ ShardedWorld::CrossAttachment ShardedWorld::connect_cross(
                                             *nets_[shard_a], a, b, config);
   auto ba = std::make_unique<CrossLinkHalf>(coord_, shard_b, shard_a,
                                             *nets_[shard_b], b, a, config);
-  ab->set_twin(ba.get());
-  ba->set_twin(ab.get());
   CrossAttachment att;
   att.a_to_b = ab.get();
   att.b_to_a = ba.get();
   att.iface_a = a->attach_link(ab.get());
   att.iface_b = b->attach_link(ba.get());
+  // Each half delivers into the interface the opposite half occupies on
+  // the far node.
+  ab->set_interfaces(att.iface_a, att.iface_b);
+  ba->set_interfaces(att.iface_b, att.iface_a);
   cross_links_.push_back(std::move(ab));
   cross_links_.push_back(std::move(ba));
   // The seam's channel lookahead, both directions: a delivery can leave

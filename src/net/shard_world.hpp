@@ -16,7 +16,8 @@ class ShardedWorld;
 /// link state a sender touches (rng for loss, busy_until, drop/delivery
 /// counters) lives in the sending shard, so the transmit path needs no
 /// synchronization. Only the final delivery crosses the seam, as a
-/// coordinator post carrying a pool-free copy of the payload.
+/// coordinator post carrying a pool-free copy of the payload; it lands on
+/// the interface the opposite half occupies on the remote node.
 class CrossLinkHalf : public Link {
  public:
   CrossLinkHalf(sim::ShardCoordinator& coord, std::size_t src_shard,
@@ -27,19 +28,14 @@ class CrossLinkHalf : public Link {
         src_shard_(src_shard),
         dst_shard_(dst_shard) {}
 
-  /// The opposite half — the Link* actually attached on the remote
-  /// node's interface, which the delivery callback uses to find the
-  /// right interface index over there.
-  void set_twin(CrossLinkHalf* twin) { twin_ = twin; }
-
  protected:
-  void schedule_delivery(sim::Time arrival, Node* to, Packet pkt) override;
+  void schedule_delivery(sim::Time arrival, Node* to, std::size_t to_iface,
+                         Packet&& pkt) override;
 
  private:
   sim::ShardCoordinator& coord_;
   std::size_t src_shard_;
   std::size_t dst_shard_;
-  CrossLinkHalf* twin_ = nullptr;
 };
 
 /// A world partitioned into shards: one Network (event loop, buffer

@@ -285,8 +285,13 @@ void TcpConnection::update_rtt(sim::Duration measured) {
 }
 
 void TcpConnection::arm_rto() {
-  cancel_rto();
-  if (flight_size() == 0) return;
+  if (flight_size() == 0) {
+    cancel_rto();
+    return;
+  }
+  // Re-arming moves the pending timer in place; it fires exactly where a
+  // cancel plus a fresh schedule would have put it.
+  if (rto_armed_ && stack_->loop().reschedule(rto_timer_, rto_)) return;
   auto self = weak_from_this();
   rto_timer_ = stack_->loop().schedule(rto_, [self] {
     if (const auto conn = self.lock()) conn->on_rto();

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "sim/event_loop.hpp"
 #include "sim/time.hpp"
@@ -35,15 +35,18 @@ class CpuScheduler {
   }
   double remaining_credit_cycles() const { return credit_cycles_; }
 
-  /// Enqueue `cycles` of work; `done` runs when the core has executed it
-  /// (after all previously queued work). Zero-cost work still round-trips
-  /// through the event loop to preserve FIFO ordering.
-  void run(double cycles, std::function<void()> done) {
+  /// Enqueue `cycles` of work; `done` (any `void()` callable) runs when
+  /// the core has executed it (after all previously queued work). The
+  /// continuation is forwarded straight into its event slot. Zero-cost
+  /// work still round-trips through the event loop to preserve FIFO
+  /// ordering.
+  template <typename F>
+  void run(double cycles, F&& done) {
     const Duration d = duration_of(cycles);
     const Time start = std::max(loop_.now(), busy_until_);
     busy_until_ = start + d;
     total_cycles_ += cycles;
-    loop_.schedule_at(busy_until_, std::move(done));
+    loop_.schedule_at(busy_until_, std::forward<F>(done));
   }
 
   /// Charge cycles without a continuation (fire-and-forget accounting).

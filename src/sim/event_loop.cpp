@@ -4,23 +4,30 @@
 
 namespace hipcloud::sim {
 
+EventLoop::~EventLoop() {
+  // Release pending callbacks while the engine is still whole: a captured
+  // object's destructor may cancel (or schedule) other events. Dropping
+  // the last heap entry keeps the heap valid at every step.
+  while (!heap_.empty()) {
+    const std::uint32_t idx = heap_.back().slot;
+    heap_.pop_back();
+    release_slot(idx);
+  }
+}
+
 void EventLoop::audit_consistency() const {
   const std::size_t n = heap_.size();
-  std::size_t live_in_heap = 0;
-  std::size_t dead_in_heap = 0;
-  std::vector<bool> referenced(slots_.size(), false);
+  const std::size_t slots = state_.size();
+  HIPCLOUD_CHECK(slots == chunks_.size() * kSlotsPerChunk,
+                 "slot arena size disagrees with its chunks");
   for (std::size_t i = 0; i < n; ++i) {
     const HeapEntry& e = heap_[i];
-    HIPCLOUD_CHECK(e.slot < slots_.size(),
+    HIPCLOUD_CHECK(e.slot < slots,
                    "heap entry references a slot outside the arena");
-    HIPCLOUD_CHECK(!referenced[e.slot],
-                   "slot referenced by two heap entries");
-    referenced[e.slot] = true;
-    if (slots_[e.slot].live) {
-      ++live_in_heap;
-    } else {
-      ++dead_in_heap;
-    }
+    HIPCLOUD_CHECK(state_[e.slot].pos == i,
+                   "slot does not record its heap position");
+    HIPCLOUD_CHECK(static_cast<bool>(callback(e.slot)),
+                   "pending event has no callback");
     if (i > 0) {
       const HeapEntry& parent = heap_[(i - 1) / 2];
       HIPCLOUD_CHECK(!earlier(e, parent),
@@ -28,167 +35,187 @@ void EventLoop::audit_consistency() const {
     }
     HIPCLOUD_CHECK(e.when >= now_, "pending event scheduled in the past");
   }
-  HIPCLOUD_CHECK(live_in_heap == live_,
-                 "live-event count disagrees with heap contents");
-  HIPCLOUD_CHECK(dead_in_heap == dead_in_heap_,
-                 "tombstone count disagrees with heap contents");
-  for (const std::uint32_t idx : free_slots_) {
-    HIPCLOUD_CHECK(idx < slots_.size(), "freelist entry outside the arena");
-    HIPCLOUD_CHECK(!slots_[idx].live, "live slot on the freelist");
-    HIPCLOUD_CHECK(!referenced[idx],
-                   "slot simultaneously freelisted and in the heap");
+  std::size_t free_marked = 0;
+  std::size_t firing = 0;
+  for (std::uint32_t idx = 0; idx < slots; ++idx) {
+    const std::uint32_t pos = state_[idx].pos;
+    if (pos == kFree) {
+      ++free_marked;
+      HIPCLOUD_CHECK(!callback(idx), "free slot still holds a callback");
+    } else if (pos == kFiring) {
+      ++firing;
+      HIPCLOUD_CHECK(static_cast<bool>(callback(idx)),
+                     "firing slot has no callback");
+    } else {
+      HIPCLOUD_CHECK(pos < n && heap_[pos].slot == idx,
+                     "slot records a heap position it does not hold");
+    }
   }
-  HIPCLOUD_CHECK(heap_.size() + free_slots_.size() == slots_.size(),
+  HIPCLOUD_CHECK(firing == firing_,
+                 "firing slots disagree with the callbacks on the stack");
+  for (const std::uint32_t idx : free_slots_) {
+    HIPCLOUD_CHECK(idx < slots, "freelist entry outside the arena");
+    HIPCLOUD_CHECK(state_[idx].pos == kFree,
+                   "freelisted slot is queued or firing");
+  }
+  // Every freelist entry is a free-marked slot, so equal counts mean each
+  // free slot is listed exactly once.
+  HIPCLOUD_CHECK(free_marked == free_slots_.size(),
+                 "freelist lists a slot twice or misses one");
+  HIPCLOUD_CHECK(n + free_slots_.size() + firing_ == slots,
                  "slot arena partition broken (leaked or duplicated slot)");
 }
 
-std::uint32_t EventLoop::alloc_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t idx = free_slots_.back();
-    free_slots_.pop_back();
-    return idx;
-  }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+std::uint64_t EventLoop::cross_seq(std::uint32_t src_shard,
+                                   std::uint64_t post_idx) {
+  HIPCLOUD_DCHECK(src_shard < (1u << (63 - kCrossSrcShift)),
+                  "cross seq encoding: shard id too wide");
+  HIPCLOUD_DCHECK(post_idx < (1ULL << kCrossSrcShift),
+                  "cross seq encoding: post index too wide");
+  return kCrossSeqBit |
+         (static_cast<std::uint64_t>(src_shard) << kCrossSrcShift) | post_idx;
 }
 
-void EventLoop::recycle_slot(std::uint32_t idx) {
-  Slot& s = slots_[idx];
-  s.cb.reset();
-  s.live = false;
-  ++s.gen;  // invalidate any outstanding handles to this slot
+void EventLoop::grow_arena() {
+  const auto base = static_cast<std::uint32_t>(state_.size());
+  chunks_.push_back(std::make_unique<InlineFn[]>(kSlotsPerChunk));
+  state_.resize(state_.size() + kSlotsPerChunk, SlotState{kFree, 0});
+  // Highest index first, so the chunk hands out its slots in order.
+  for (std::uint32_t i = kSlotsPerChunk; i > 0; --i) {
+    free_slots_.push_back(base + i - 1);
+  }
+}
+
+void EventLoop::release_slot(std::uint32_t idx) {
+  // Off the heap and generation bumped before the callable dies, so a
+  // destructor that re-enters cancel()/reschedule() with this handle
+  // sees a stale one. The destructor may also grow the arena, so state_
+  // is re-indexed afterwards rather than held by reference.
+  state_[idx].pos = kFiring;
+  ++state_[idx].gen;
+  callback(idx).reset();
+  state_[idx].pos = kFree;
   free_slots_.push_back(idx);
 }
 
 // Both sifts move the 24-byte POD entries through a hole instead of
-// swapping, so each level costs one copy rather than three.
+// swapping, so each level costs one copy (plus the moved slot's position
+// update) rather than three.
 
-void EventLoop::heap_push(HeapEntry e) {
-  std::size_t i = heap_.size();
-  heap_.push_back(e);  // grow first; the slot is overwritten below
+void EventLoop::sift_up(std::size_t i, HeapEntry e) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
     if (!earlier(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = e;
+  place(i, e);
 }
 
-void EventLoop::heap_pop() {
-  const HeapEntry e = heap_.back();
-  heap_.pop_back();
+void EventLoop::sift_down(std::size_t i, HeapEntry e) {
   const std::size_t n = heap_.size();
-  if (n == 0) return;
-  std::size_t i = 0;
   while (true) {
     std::size_t child = 2 * i + 1;
     if (child >= n) break;
     if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
     if (!earlier(heap_[child], e)) break;
-    heap_[i] = heap_[child];
+    place(i, heap_[child]);
     i = child;
   }
-  heap_[i] = e;
+  place(i, e);
 }
 
-EventHandle EventLoop::schedule(Duration delay, Callback cb) {
-  if (delay < 0) delay = 0;
-  return schedule_at(now_ + delay, std::move(cb));
+void EventLoop::heap_erase(std::size_t i) {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  if (i > 0 && earlier(last, heap_[(i - 1) / 2])) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
+  }
 }
 
-EventHandle EventLoop::schedule_at(Time when, Callback cb) {
-  return schedule_with_seq(when, next_seq_++, std::move(cb));
-}
-
-EventHandle EventLoop::schedule_cross(Time when, std::uint32_t src_shard,
-                                      std::uint64_t post_idx, Callback cb) {
-  HIPCLOUD_DCHECK(src_shard < (1u << (63 - kCrossSrcShift)),
-                  "cross seq encoding: shard id too wide");
-  HIPCLOUD_DCHECK(post_idx < (1ULL << kCrossSrcShift),
-                  "cross seq encoding: post index too wide");
-  const std::uint64_t seq =
-      kCrossSeqBit | (static_cast<std::uint64_t>(src_shard) << kCrossSrcShift) |
-      post_idx;
-  return schedule_with_seq(when, seq, std::move(cb));
-}
-
-EventHandle EventLoop::schedule_with_seq(Time when, std::uint64_t seq,
-                                         Callback cb) {
+EventHandle EventLoop::enqueue(Time when, std::uint64_t seq,
+                               std::uint32_t idx) {
   if (when < now_) when = now_;
-  const std::uint32_t idx = alloc_slot();
-  Slot& s = slots_[idx];
-  s.cb = std::move(cb);
-  s.live = true;
-  heap_push(HeapEntry{when, seq, idx});
-  ++live_;
+  heap_.push_back(HeapEntry{});  // grow first; sift_up fills the hole
+  sift_up(heap_.size() - 1, HeapEntry{when, seq, idx});
   ++perf_.events_scheduled;
-  return EventHandle((static_cast<std::uint64_t>(s.gen) << 32) |
+  return EventHandle((static_cast<std::uint64_t>(state_[idx].gen) << 32) |
                      (static_cast<std::uint64_t>(idx) + 1));
 }
 
-bool EventLoop::cancel(EventHandle h) {
-  if (!h.valid()) return false;
+std::uint32_t EventLoop::pending_position(EventHandle h) const {
+  if (!h.valid()) return kFree;
   const std::uint32_t idx =
       static_cast<std::uint32_t>(h.id_ & 0xffffffffu) - 1;
   const std::uint32_t gen = static_cast<std::uint32_t>(h.id_ >> 32);
-  if (idx >= slots_.size()) return false;
-  Slot& s = slots_[idx];
-  // A fired (or already-cancelled) event has had its slot recycled and its
-  // generation bumped, so stale handles fail this check in O(1).
-  if (!s.live || s.gen != gen) return false;
-  s.live = false;
-  s.cb.reset();  // release captured state eagerly, not at pop time
-  --live_;
-  ++dead_in_heap_;
+  if (idx >= state_.size()) return kFree;
+  const SlotState& s = state_[idx];
+  // A fired or cancelled event's slot has a newer generation; a firing
+  // one is off the heap. Either way the handle no longer names a pending
+  // event, checked in O(1).
+  if (s.gen != gen || s.pos == kFiring) return kFree;
+  return s.pos;
+}
+
+bool EventLoop::cancel(EventHandle h) {
+  const std::uint32_t pos = pending_position(h);
+  if (pos == kFree) return false;
+  const std::uint32_t idx = heap_[pos].slot;
+  heap_erase(pos);
   ++perf_.events_cancelled;
+  release_slot(idx);  // release captured state eagerly
+  return true;
+}
+
+bool EventLoop::reschedule(EventHandle h, Duration delay) {
+  const std::uint32_t pos = pending_position(h);
+  if (pos == kFree) return false;
+  if (delay < 0) delay = 0;
+  const HeapEntry e{now_ + delay, next_seq_++, heap_[pos].slot};
+  ++perf_.events_cancelled;
+  ++perf_.events_scheduled;
+  // The new seq is the largest yet, so the entry moves up only when its
+  // deadline moved earlier.
+  if (e.when < heap_[pos].when) {
+    sift_up(pos, e);
+  } else {
+    sift_down(pos, e);
+  }
   return true;
 }
 
 bool EventLoop::step(Time until) {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    Slot& s = slots_[top.slot];
-    if (!s.live) {
-      // Cancelled entry reached the top: recycle its slot and move on.
-      recycle_slot(top.slot);
-      heap_pop();
-      --dead_in_heap_;
-      continue;
+  if (heap_.empty()) return false;
+  const HeapEntry top = heap_[0];
+  if (until >= 0 && top.when > until) return false;
+  HIPCLOUD_CHECK(top.when >= now_, "event fired with regressed time");
+  heap_erase(0);
+  state_[top.slot].pos = kFiring;
+  ++firing_;
+  // Recycles the slot once the callback returns or throws.
+  struct Retire {
+    EventLoop& loop;
+    std::uint32_t idx;
+    ~Retire() {
+      loop.release_slot(idx);
+      --loop.firing_;
     }
-    if (until >= 0 && top.when > until) return false;
-    // Capture the entry by value: heap_pop() below rewrites the root.
-    const HeapEntry entry = top;
-    HIPCLOUD_CHECK(entry.when >= now_, "event fired with regressed time");
-    // Move the callback out and retire the entry *before* invoking, so the
-    // callback can re-enter schedule()/cancel() freely.
-    Callback cb = std::move(s.cb);
-    recycle_slot(entry.slot);
-    heap_pop();
-    --live_;
-    now_ = entry.when;
-    ++perf_.events_fired;
-    perf_.note_fire(entry.when, entry.seq);
+  } retire{*this, top.slot};
+  now_ = top.when;
+  ++perf_.events_fired;
+  perf_.note_fire(top.when, top.seq);
 #ifdef HIPCLOUD_AUDIT_ENABLED
-    // Periodic full structural audit; every firing would make the suite
-    // O(events * pending).
-    if ((perf_.events_fired & 1023u) == 0) audit_consistency();
+  // Periodic full structural audit; every firing would make the suite
+  // O(events * arena).
+  if ((perf_.events_fired & 1023u) == 0) audit_consistency();
 #endif
-    cb();
-    return true;
-  }
-  return false;
-}
-
-Time EventLoop::next_event_time() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (slots_[top.slot].live) return top.when;
-    recycle_slot(top.slot);
-    heap_pop();
-    --dead_in_heap_;
-  }
-  return -1;
+  // Chunks never move, so this reference stays valid even if the
+  // callback grows the arena.
+  callback(top.slot)();
+  return true;
 }
 
 std::size_t EventLoop::run(Time until) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -10,8 +11,8 @@
 
 namespace hipcloud::sim {
 
-/// Handle returned by EventLoop::schedule(); can be used to cancel the
-/// event before it fires. Value-semantic and cheap to copy.
+/// Handle returned by EventLoop::schedule(); can be used to cancel or
+/// re-arm the event before it fires. Value-semantic and cheap to copy.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -34,34 +35,48 @@ class EventHandle {
 /// independent threads, e.g. the bench harness sweeping client counts).
 ///
 /// Internally the queue is an indexed binary heap of 24-byte POD entries
-/// over an arena of generation-tagged callback slots:
+/// `{when, seq, slot}` over an arena of callback slots. The arena grows a
+/// chunk at a time and never moves a slot, and a dense side array keeps
+/// each slot's heap position and generation. The heap holds exactly the
+/// pending events:
 ///
-///  - schedule: grab a slot from the freelist (or grow the arena), store
-///    the callback in place (InlineFn — no heap allocation for callables
-///    up to 128 bytes), push {when, seq, slot} onto the heap.
-///  - cancel: O(1) — validate the handle's generation against the slot,
-///    mark the slot dead and destroy its callback eagerly. No tombstone
-///    hash sets, no per-event unordered_set inserts; the dead heap entry
-///    is skipped (and its slot recycled) when it reaches the top.
-///  - fire: pop the root, move the callback out, recycle the slot (bump
-///    its generation so stale handles can't cancel a reused slot), then
-///    invoke — so callbacks can freely schedule/cancel re-entrantly.
+///  - schedule: take a slot from the freelist (or grow the arena), build
+///    the callable straight into it (InlineFn::emplace — no heap
+///    allocation for callables up to 128 bytes), push {when, seq, slot}.
+///  - cancel: O(log n) — validate the handle's generation, remove the
+///    entry from its recorded heap position, destroy the callable and
+///    recycle the slot at once.
+///  - reschedule: move a pending entry in place under a fresh seq, which
+///    is exactly the (when, seq) that cancel plus schedule would assign.
+///  - fire: pop the root and invoke the callable where it was built; the
+///    slot is recycled when the callable returns or throws. While it runs
+///    the slot is neither queued nor free, so callbacks can schedule,
+///    cancel and reschedule re-entrantly, and their own handle reports
+///    false.
 class EventLoop {
  public:
-  using Callback = InlineFn;
-
   EventLoop() = default;
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
+  ~EventLoop();
 
   /// Current virtual time.
   Time now() const { return now_; }
 
-  /// Schedule `cb` to run `delay` from now. Negative delays clamp to 0.
-  EventHandle schedule(Duration delay, Callback cb);
+  /// Schedule `f` (any `void()` callable) to run `delay` from now.
+  /// Negative delays clamp to 0.
+  template <typename F>
+  EventHandle schedule(Duration delay, F&& f) {
+    if (delay < 0) delay = 0;
+    return schedule_at(now_ + delay, std::forward<F>(f));
+  }
 
-  /// Schedule `cb` at an absolute virtual time (>= now).
-  EventHandle schedule_at(Time when, Callback cb);
+  /// Schedule `f` at an absolute virtual time (>= now).
+  template <typename F>
+  EventHandle schedule_at(Time when, F&& f) {
+    const std::uint32_t idx = emplace_callback(std::forward<F>(f));
+    return enqueue(when, next_seq_++, idx);
+  }
 
   /// Schedule a cross-shard arrival with a schedule-stable identity.
   /// Instead of drawing from the local FIFO counter (whose value depends
@@ -78,16 +93,29 @@ class EventLoop {
   ///    lookahead produce byte-identical hashes by construction.
   /// The local counter is NOT consumed, so local seq streams are equally
   /// slicing-invariant.
+  template <typename F>
   EventHandle schedule_cross(Time when, std::uint32_t src_shard,
-                             std::uint64_t post_idx, Callback cb);
+                             std::uint64_t post_idx, F&& f) {
+    const std::uint64_t seq = cross_seq(src_shard, post_idx);
+    const std::uint32_t idx = emplace_callback(std::forward<F>(f));
+    return enqueue(when, seq, idx);
+  }
 
   static constexpr std::uint64_t kCrossSeqBit = 1ULL << 63;
   static constexpr unsigned kCrossSrcShift = 40;  // post_idx < 2^40
 
   /// Cancel a pending event. Returns true if the event existed and had
-  /// not yet fired. Cancelling twice (or after firing) is a harmless no-op
-  /// (the slot generation has moved on) and costs O(1).
+  /// not yet fired. Cancelling twice, after firing, or from inside the
+  /// event's own callback is a harmless no-op that returns false.
   bool cancel(EventHandle h);
+
+  /// Re-arm a pending event to fire `delay` from now (negative delays
+  /// clamp to 0), keeping its callback and its handle. The event takes a
+  /// fresh seq, so it fires exactly where cancel() plus schedule() would
+  /// have put it, and the counters record one cancel plus one schedule.
+  /// Returns false, changing nothing, for a stale handle or from inside
+  /// the event's own callback.
+  bool reschedule(EventHandle h, Duration delay);
 
   /// Run until the event queue drains or `until` (if >= 0) is reached.
   /// Returns the number of events executed.
@@ -97,21 +125,19 @@ class EventLoop {
   /// or the next event lies beyond `until` (when `until` >= 0).
   bool step(Time until = -1);
 
-  /// Pending (non-cancelled) event count.
-  std::size_t pending() const { return live_; }
+  /// Pending (scheduled, not yet fired or cancelled) event count; the
+  /// heap holds exactly these.
+  std::size_t pending() const { return heap_.size(); }
 
-  /// Time of the earliest live event, or -1 when no live events remain.
-  /// Non-const: cancelled entries sitting on the heap top are recycled on
-  /// the way (same bounded work step() would have done). The shard
-  /// coordinator uses this between epochs to skip idle stretches
+  /// Time of the earliest pending event, or -1 when none remain. The
+  /// shard coordinator uses this between epochs to skip idle stretches
   /// deterministically.
-  Time next_event_time();
+  Time next_event_time() const { return heap_.empty() ? -1 : heap_[0].when; }
 
-  /// Cancelled-but-not-yet-popped heap entries. Bounded by the number of
-  /// scheduled events: each dead entry is dropped (and its slot recycled)
-  /// the moment it reaches the heap top, and a drained heap holds none.
-  /// Exposed for the consistency assertions in the tests.
-  std::size_t tombstones() const { return dead_in_heap_; }
+  /// Slots in the callback arena: pending, free and firing. Grows a chunk
+  /// of kSlotsPerChunk at a time and never shrinks.
+  std::size_t arena_slots() const { return state_.size(); }
+  static constexpr std::uint32_t kSlotsPerChunk = 256;
 
   /// True when no live events remain.
   bool idle() const { return pending() == 0; }
@@ -120,12 +146,14 @@ class EventLoop {
   void stop() { stopped_ = true; }
 
   /// Full structural audit of the engine: heap shape ((when, seq) order
-  /// holds on every parent/child edge), slot-arena partition (every slot
-  /// is referenced by exactly one heap entry or sits on the freelist,
-  /// never both), live/tombstone accounting, and no pending event in the
-  /// past. O(pending). Throws sim::CheckFailure on the first violation.
-  /// Always compiled (tests call it directly); the audit build
-  /// (-DHIPCLOUD_AUDIT=ON) additionally runs it every 1024 firings.
+  /// holds on every parent/child edge), the slot↔position map (every heap
+  /// entry's slot records that entry's index and holds a callback), the
+  /// freelist (free slots are empty, listed once and nowhere else), the
+  /// slots currently firing, the arena partition (queued + free + firing
+  /// = every slot), and no pending event in the past. O(arena). Throws
+  /// sim::CheckFailure on the first violation. Always compiled (tests
+  /// call it directly); the audit build (-DHIPCLOUD_AUDIT=ON)
+  /// additionally runs it every 1024 firings.
   void audit_consistency() const;
 
   /// Per-world performance counters (event engine + buffer pool + packet
@@ -134,13 +162,19 @@ class EventLoop {
   const PerfCounters& perf() const { return perf_; }
 
  private:
-  struct Slot {
-    InlineFn cb;
-    std::uint32_t gen = 0;
-    bool live = false;  // false: free-listed, or cancelled-awaiting-pop
+  // Position sentinels in SlotState::pos; every other value is the
+  // slot's index in heap_. kFiring: off the heap with its callback still
+  // alive (running, or being destroyed).
+  static constexpr std::uint32_t kFree = 0xffffffffu;  // on the freelist
+  static constexpr std::uint32_t kFiring = 0xfffffffeu;
+  static constexpr std::uint32_t kChunkShift = 8;
+  static_assert(kSlotsPerChunk == 1u << kChunkShift);
+
+  struct SlotState {
+    std::uint32_t pos;  // heap index, kFree or kFiring
+    std::uint32_t gen;  // bumped on recycle: stale handles never match
   };
-  // POD heap entry; the generation lives only in the handle because a slot
-  // is recycled exactly when its (single) heap entry pops.
+  // POD heap entry; the generation lives in the handle and the side array.
   struct HeapEntry {
     Time when;
     std::uint64_t seq;  // tiebreaker: FIFO within the same instant
@@ -152,21 +186,51 @@ class EventLoop {
     return a.seq < b.seq;
   }
 
-  EventHandle schedule_with_seq(Time when, std::uint64_t seq, Callback cb);
-  std::uint32_t alloc_slot();
-  void recycle_slot(std::uint32_t idx);
-  void heap_push(HeapEntry e);
-  void heap_pop();
+  static std::uint64_t cross_seq(std::uint32_t src_shard,
+                                 std::uint64_t post_idx);
 
+  InlineFn& callback(std::uint32_t idx) {
+    return chunks_[idx >> kChunkShift][idx & (kSlotsPerChunk - 1)];
+  }
+  const InlineFn& callback(std::uint32_t idx) const {
+    return chunks_[idx >> kChunkShift][idx & (kSlotsPerChunk - 1)];
+  }
+
+  // Builds `f` in the freelist's top slot and only then takes the slot,
+  // so a throwing constructor leaves the engine untouched.
+  template <typename F>
+  std::uint32_t emplace_callback(F&& f) {
+    if (free_slots_.empty()) grow_arena();
+    const std::uint32_t idx = free_slots_.back();
+    callback(idx).emplace(std::forward<F>(f));
+    free_slots_.pop_back();
+    return idx;
+  }
+
+  EventHandle enqueue(Time when, std::uint64_t seq, std::uint32_t idx);
+  void grow_arena();
+  // Heap position of the event `h` names, or kFree when it is not pending.
+  std::uint32_t pending_position(EventHandle h) const;
+  // Destroys the callable (which may re-enter the loop), bumps the
+  // generation and returns the slot to the freelist.
+  void release_slot(std::uint32_t idx);
+  void place(std::size_t i, const HeapEntry& e) {
+    heap_[i] = e;
+    state_[e.slot].pos = static_cast<std::uint32_t>(i);
+  }
+  void sift_up(std::size_t i, HeapEntry e);
+  void sift_down(std::size_t i, HeapEntry e);
+  void heap_erase(std::size_t i);
+
+  PerfCounters perf_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   bool stopped_ = false;
-  std::size_t live_ = 0;
-  std::size_t dead_in_heap_ = 0;
+  std::uint32_t firing_ = 0;  // callbacks on the stack (nested step() calls)
   std::vector<HeapEntry> heap_;
-  std::vector<Slot> slots_;
+  std::vector<SlotState> state_;
   std::vector<std::uint32_t> free_slots_;
-  PerfCounters perf_;
+  std::vector<std::unique_ptr<InlineFn[]>> chunks_;
 };
 
 }  // namespace hipcloud::sim

@@ -12,19 +12,21 @@ namespace hipcloud::sim {
 ///
 /// `std::function` keeps only ~16 bytes of inline storage on libstdc++, so
 /// every real simulator callback — a link-delivery lambda capturing a
-/// Packet, an RTO timer capturing a shared_ptr plus sequence state — heap
-/// allocates on schedule and frees on fire. InlineFn reserves
-/// `kInlineSize` bytes in place (≥ the largest per-packet lambda in the
-/// tree), so the per-event allocator round-trip disappears; callables that
-/// do not fit still work via a heap fallback.
+/// Packet, an RTO timer capturing a weak_ptr, a CPU continuation capturing
+/// a session and a payload — heap allocates on schedule and frees on fire.
+/// InlineFn reserves `kInlineSize` (128) bytes in place, so an InlineFn is
+/// 144 bytes with its ops pointer and alignment; callables that do not fit
+/// (or whose move may throw) still work via a heap fallback.
 ///
-/// Unlike `std::function` it is move-only, which is exactly what the event
-/// queue needs and lets captures hold move-only payload buffers.
+/// sim::EventLoop builds each callback straight into an arena slot with
+/// emplace() and invokes it there, so a scheduled callable is never moved
+/// between schedule and fire. The move operations remain for callers that
+/// must park a callback first, such as the shard coordinator's inboxes.
 class InlineFn {
  public:
   /// Inline capacity. The largest hot callback today is the link-delivery
-  /// lambda (~112 bytes: Packet by value plus two pointers); 128 leaves
-  /// headroom without bloating the per-slot arena entry.
+  /// lambda (104 bytes: an 88-byte Packet, the receiving node and its
+  /// interface index); 128 leaves headroom without bloating the arena.
   static constexpr std::size_t kInlineSize = 128;
 
   InlineFn() = default;
@@ -34,14 +36,21 @@ class InlineFn {
                 !std::is_same_v<std::decay_t<F>, InlineFn> &&
                 std::is_invocable_v<std::decay_t<F>&>>>
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= kAlign &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (storage_) Fn(std::forward<F>(f));
-      ops_ = &inline_ops<Fn>;
+    construct(std::forward<F>(f));
+  }
+
+  /// Replace the held callable with `f`, built in this object's own
+  /// storage. An InlineFn argument is moved in rather than wrapped.
+  template <typename F>
+  void emplace(F&& f) {
+    reset();
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineFn>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "InlineFn is move-only");
+      move_from(f);
     } else {
-      *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
-      ops_ = &heap_ops<Fn>;
+      static_assert(std::is_invocable_v<std::decay_t<F>&>,
+                    "InlineFn holds void() callables");
+      construct(std::forward<F>(f));
     }
   }
 
@@ -100,6 +109,21 @@ class InlineFn {
       },
       [](void* s) { delete *reinterpret_cast<Fn**>(s); },
   };
+
+  // Precondition: empty. If the callable's constructor throws, ops_ is
+  // still null, so the InlineFn stays empty.
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= kAlign &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (storage_) Fn(std::forward<F>(f));
+      ops_ = &inline_ops<Fn>;
+    } else {
+      *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
+      ops_ = &heap_ops<Fn>;
+    }
+  }
 
   void move_from(InlineFn& other) noexcept {
     ops_ = other.ops_;

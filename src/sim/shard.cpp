@@ -37,6 +37,7 @@ std::size_t ShardCoordinator::add_shard(EventLoop* loop) {
                  "add_shard after cross-shard events were posted");
   inboxes_.clear();
   inboxes_.resize(n * n);
+  drain_scratch_.resize(n);
   post_seq_.assign(n, 0);
   pair_lookahead_.assign(n * n, -1);
   horizons_.assign(n, -1);
@@ -117,34 +118,32 @@ PerfCounters ShardCoordinator::merged_perf() const {
 // crossings between a post and this drain give the happens-before edge.
 void ShardCoordinator::drain_into(std::size_t dst) {
   const std::size_t n = shards_.size();
-  struct Pending {
-    Time when;
-    std::uint32_t src;
-    std::uint64_t post_idx;
-    InlineFn fn;
-  };
-  std::vector<Pending> batch;
+  std::vector<DrainRef>& batch = drain_scratch_[dst];
+  batch.clear();
   for (std::size_t src = 0; src < n; ++src) {
-    Inbox& cell = inboxes_[src * n + dst];
-    for (CrossEvent& e : cell.events) {
-      batch.push_back(Pending{e.when, static_cast<std::uint32_t>(src),
-                              e.post_idx, std::move(e.fn)});
+    for (CrossEvent& e : inboxes_[src * n + dst].events) {
+      batch.push_back(
+          DrainRef{e.when, static_cast<std::uint32_t>(src), e.post_idx, &e});
     }
-    cell.events.clear();
   }
   if (batch.empty()) return;
   // (when, src shard, per-source post index) is a total order independent
   // of drain timing. schedule_cross stamps each entry with exactly this
   // identity, so the heap would order them correctly in any insertion
   // order; the sort keeps the canonical sequence visible in schedule
-  // order too (events_scheduled traces, audit dumps).
-  std::sort(batch.begin(), batch.end(), [](const Pending& a, const Pending& b) {
-    return std::tie(a.when, a.src, a.post_idx) <
-           std::tie(b.when, b.src, b.post_idx);
-  });
+  // order too (events_scheduled traces, audit dumps). It sorts references,
+  // so each callback moves once, from its inbox cell into its event slot.
+  std::sort(batch.begin(), batch.end(),
+            [](const DrainRef& a, const DrainRef& b) {
+              return std::tie(a.when, a.src, a.post_idx) <
+                     std::tie(b.when, b.src, b.post_idx);
+            });
   EventLoop* loop = shards_[dst];
-  for (Pending& p : batch) {
-    loop->schedule_cross(p.when, p.src, p.post_idx, std::move(p.fn));
+  for (const DrainRef& r : batch) {
+    loop->schedule_cross(r.when, r.src, r.post_idx, std::move(r.event->fn));
+  }
+  for (std::size_t src = 0; src < n; ++src) {
+    inboxes_[src * n + dst].events.clear();
   }
 }
 

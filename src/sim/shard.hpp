@@ -167,6 +167,14 @@ class ShardCoordinator {
   struct Inbox {
     std::vector<CrossEvent> events;
   };
+  /// A drained inbox entry, sorted by (when, src, post_idx) in place of
+  /// the entry itself.
+  struct DrainRef {
+    Time when;
+    std::uint32_t src;
+    std::uint64_t post_idx;
+    CrossEvent* event;
+  };
 
   /// Seam lookahead used by the horizon rule for (src,dst): the
   /// registered pair value, else the global default, else (in
@@ -185,6 +193,9 @@ class ShardCoordinator {
   // the ownership analyzer treats them as confined to the posting shard.
   std::vector<Inbox> inboxes_;            // hipcheck:shard_owned
   std::vector<std::uint64_t> post_seq_;   // hipcheck:shard_owned
+  // drain_into's reused batch, one per destination; drain_scratch_[dst]
+  // is touched only by dst's worker.
+  std::vector<std::vector<DrainRef>> drain_scratch_;  // hipcheck:shard_owned
   std::vector<Duration> pair_lookahead_;  // src * shard_count + dst; -1 unset
   Duration lookahead_ = from_micros(50);
   bool registered_only_ = false;

@@ -62,10 +62,6 @@ TlsSession::TlsSession(std::shared_ptr<net::TcpConnection> conn,
     : conn_(std::move(conn)), node_(node), config_(std::move(config)),
       is_client_(is_client), drbg_(seed, "tls:" + node->name()) {}
 
-void TlsSession::charge(double cycles, std::function<void()> then) {
-  node_->cpu().run(cycles, std::move(then));
-}
-
 void TlsSession::start() {
   auto self = shared_from_this();
   conn_->on_data([self](Bytes chunk) { self->on_tcp_data(std::move(chunk)); });

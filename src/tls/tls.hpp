@@ -87,7 +87,10 @@ class TlsSession : public std::enable_shared_from_this<TlsSession> {
   void finish_handshake();
   void fail(const char* reason);
   crypto::Bytes finished_mac(bool client_side) const;
-  void charge(double cycles, std::function<void()> then);
+  template <typename F>
+  void charge(double cycles, F&& then) {
+    node_->cpu().run(cycles, std::forward<F>(then));
+  }
 
   std::shared_ptr<net::TcpConnection> conn_;
   net::Node* node_;

@@ -138,13 +138,15 @@ TEST(EventLoop, CancelAfterFireReturnsFalse) {
   const auto h = loop.schedule(10, [] {});
   loop.run();
   EXPECT_FALSE(loop.cancel(h));
-  EXPECT_EQ(loop.tombstones(), 0u);
+  EXPECT_EQ(loop.pending(), 0u);
+  loop.audit_consistency();
 }
 
 // The RTO re-arm pattern: every ack cancels the pending retransmit timer
 // and schedules a new one; sometimes the timer wins and the cancel arrives
-// late. A long closed-loop run must not accumulate tombstones for events
-// that already fired (the seed leak) and must drain the set completely.
+// late. A cancel removes its heap entry at once, so throughout a long
+// closed-loop run the heap holds exactly the pending events (the audit
+// checks every entry against its slot) and nothing is left behind.
 TEST(EventLoop, HeavyRearmChurnLeavesNoTombstones) {
   EventLoop loop;
   std::size_t scheduled = 0, cancelled = 0, fired = 0, late_cancels = 0;
@@ -156,7 +158,7 @@ TEST(EventLoop, HeavyRearmChurnLeavesNoTombstones) {
       if (loop.cancel(rto)) {
         ++cancelled;
       } else {
-        ++late_cancels;  // timer already fired — must not tombstone
+        ++late_cancels;  // timer already fired — a stale handle
       }
     }
     if (scheduled < 10000) {
@@ -167,15 +169,15 @@ TEST(EventLoop, HeavyRearmChurnLeavesNoTombstones) {
       ++scheduled;
     }
     // pending() counts exactly the scheduled-but-not-fired-or-cancelled
-    // events, and tombstones are bounded by the cancels still inside the
-    // 100-unit re-arm window — not by the whole history of the run.
+    // events, and the heap holds exactly those entries — no cancelled
+    // ones, at any point of the run.
     EXPECT_EQ(loop.pending(), scheduled + 1 - fired - cancelled);
-    EXPECT_LE(loop.tombstones(), 150u);
+    EXPECT_NO_THROW(loop.audit_consistency());
   };
   loop.schedule(0, ack);
   loop.run();
   EXPECT_EQ(loop.pending(), 0u);
-  EXPECT_EQ(loop.tombstones(), 0u);
+  loop.audit_consistency();
   EXPECT_TRUE(loop.idle());
   EXPECT_GT(cancelled, 4000u);   // the churn actually happened
   EXPECT_GT(late_cancels, 100u);  // and the late-cancel path was exercised
@@ -187,12 +189,13 @@ TEST(EventLoop, PendingMatchesLiveEventsUnderMixedCancellation) {
   for (int i = 0; i < 100; ++i) handles.push_back(loop.schedule(i, [] {}));
   for (int i = 0; i < 100; i += 2) loop.cancel(handles[i]);
   EXPECT_EQ(loop.pending(), 50u);
-  EXPECT_EQ(loop.tombstones(), 50u);
-  loop.run(49);  // fires odd-delay events up to t=49, skipping tombstones
+  loop.audit_consistency();  // the heap holds exactly the 50 live events
+  loop.run(49);  // fires odd-delay events up to t=49
   EXPECT_EQ(loop.pending(), 25u);
+  loop.audit_consistency();
   loop.run();
   EXPECT_EQ(loop.pending(), 0u);
-  EXPECT_EQ(loop.tombstones(), 0u);
+  loop.audit_consistency();
   EXPECT_TRUE(loop.idle());
 }
 
@@ -213,7 +216,7 @@ TEST(EventLoop, GoldenFiringOrderUnderSameInstantCancelChurn) {
   const auto a = loop.schedule(10, rec(1));
   const auto b = loop.schedule(10, rec(2));
   loop.schedule(10, rec(3));
-  loop.cancel(b);          // tombstone between two survivors
+  loop.cancel(b);          // cancel between two survivors
   loop.schedule(10, rec(4));  // "re-scheduled b": new event, back of t=10
   loop.schedule(5, rec(5));   // scheduled later but fires first
   loop.cancel(a);          // cancel the head of the t=10 instant
@@ -225,7 +228,7 @@ TEST(EventLoop, GoldenFiringOrderUnderSameInstantCancelChurn) {
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{5, 3, 4, 6, 7}));
   EXPECT_EQ(loop.pending(), 0u);
-  EXPECT_EQ(loop.tombstones(), 0u);
+  loop.audit_consistency();
 
   // Stale handles from the drained run must not cancel anything ever
   // again, even after their slots are recycled by new events.
