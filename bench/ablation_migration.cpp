@@ -43,12 +43,12 @@ int main() {
     net::UdpStack us(server_vm->node()), uc(client_vm->node());
     // Echo service addressed by HIT — the identity survives migration.
     us.bind(7, [&](const net::Endpoint& from, const net::IpAddr&,
-                   crypto::Bytes data) { us.send(7, from, std::move(data)); });
+                   crypto::Buffer data) { us.send(7, from, std::move(data)); });
 
     std::uint64_t sent = 0, received = 0;
     sim::Time last_rx = 0, gap_start = 0;
     sim::Duration max_gap = 0;
-    uc.bind(9, [&](const net::Endpoint&, const net::IpAddr&, crypto::Bytes) {
+    uc.bind(9, [&](const net::Endpoint&, const net::IpAddr&, crypto::Buffer) {
       ++received;
       const sim::Time now = net.loop().now();
       if (last_rx > 0 && now - last_rx > max_gap) {

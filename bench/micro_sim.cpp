@@ -5,7 +5,14 @@
 //
 // The binary also counts real heap allocations (global operator new
 // override, bench binary only) so "allocations per delivered packet" is a
-// measured number, not an estimate.
+// measured number, not an estimate, and tracks live heap bytes (each
+// block's usable size, added on allocation and subtracted on release).
+//
+// `micro_sim --quick` is also a gate: it exits nonzero when any RUBiS arm
+// (basic, HIP, SSL) costs more than kMaxAllocsPerRequest heap allocations
+// per completed request.
+
+#include <malloc.h>
 
 #include <atomic>
 #include <chrono>
@@ -14,6 +21,7 @@
 #include <new>
 #include <vector>
 
+#include "apps/rubis.hpp"
 #include "core/testbed.hpp"
 #include "net/tcp.hpp"
 #include "sim/event_loop.hpp"
@@ -24,33 +32,43 @@
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_alloc_bytes{0};
+std::atomic<std::int64_t> g_live_bytes{0};
 
 std::uint64_t allocs_now() {
   return g_allocs.load(std::memory_order_relaxed);
 }
+std::int64_t live_bytes_now() {
+  return g_live_bytes.load(std::memory_order_relaxed);
+}
+
+void* counted_alloc(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+  void* p = std::malloc(n ? n : 1);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
 // The replaced operator new above allocates with std::malloc, so free()
 // is the matching deallocator; GCC can't see through the replacement
 // and reports a mismatched pair.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 #pragma GCC diagnostic pop
 
 namespace hipcloud::bench {
@@ -189,7 +207,7 @@ EchoScore run_tcp_echo(std::uint64_t round_trips) {
   const crypto::Bytes blob(1024, 0x42);
   tcp_b.listen(7, [&](std::shared_ptr<net::TcpConnection> conn) {
     auto c = conn.get();
-    conn->on_data([c, &blob](crypto::Bytes data) {
+    conn->on_data([c, &blob](crypto::Buffer data) {
       // Echo a fixed 1 KiB response once a full 1 KiB request arrived.
       static thread_local std::uint64_t got = 0;
       got += data.size();
@@ -205,7 +223,7 @@ EchoScore run_tcp_echo(std::uint64_t round_trips) {
   auto conn = tcp_a.connect(net::Endpoint{net::Ipv4Addr(10, 0, 0, 2), 7});
   auto c = conn.get();
   conn->on_connect([c, &blob] { c->send(blob); });
-  conn->on_data([&, c](crypto::Bytes data) {
+  conn->on_data([&, c](crypto::Buffer data) {
     received += data.size();
     while (received >= 1024) {
       received -= 1024;
@@ -237,37 +255,57 @@ EchoScore run_tcp_echo(std::uint64_t round_trips) {
 }
 
 // ---------------------------------------------------------------------------
-// The Fig. 2 RUBiS path: the real testbed (EC2 profile, HIP mode, ESP
-// datapath) under a short closed-loop run. This is the exact spine the
-// paper reproduction stresses.
+// The Fig. 2 RUBiS path: the real testbed (EC2 profile) under a short
+// closed-loop run, once per security arm (basic, HIP with its ESP
+// datapath, SSL). This is the exact spine the paper reproduction
+// stresses.
+
+/// The allocation budget per completed request that `--quick` enforces
+/// on every arm.
+constexpr double kMaxAllocsPerRequest = 100.0;
 
 struct RubisScore {
+  core::SecurityMode mode;
   std::uint64_t completed;
   double allocs_per_request;
+  /// Heap the world holds once its run ends (the testbed still alive),
+  /// over the heap before it was built. The RUBiS dataset is built once
+  /// per process and shared by every world, so it is not part of this.
+  std::int64_t live_heap_bytes;
   double wall_seconds;
   sim::PerfCounters perf;
 };
 
-RubisScore run_rubis_hip(int clients, double sim_seconds) {
+core::TestbedConfig rubis_config(core::SecurityMode mode) {
   core::TestbedConfig cfg;
   cfg.provider = cloud::ProviderProfile::ec2();
-  cfg.deployment.mode = core::SecurityMode::kHip;
-  core::Testbed bed(cfg);
+  cfg.deployment.mode = mode;
+  return cfg;
+}
 
-  const auto t0 = Clock::now();
-  const std::uint64_t allocs0 = allocs_now();
-  const auto report = bed.run_closed_loop(
-      clients, static_cast<sim::Duration>(sim_seconds * sim::kSecond));
-  const std::uint64_t allocs1 = allocs_now();
-
+RubisScore run_rubis(core::SecurityMode mode, int clients,
+                     double sim_seconds) {
+  const std::int64_t live0 = live_bytes_now();
+  std::int64_t live1 = 0;
   RubisScore score{};
-  score.completed = report.completed;
-  score.allocs_per_request =
-      report.completed ? static_cast<double>(allocs1 - allocs0) /
-                             static_cast<double>(report.completed)
-                       : 0.0;
-  score.wall_seconds = seconds_since(t0);
-  score.perf = bed.network().perf();
+  score.mode = mode;
+  {
+    core::Testbed bed(rubis_config(mode));
+    const auto t0 = Clock::now();
+    const std::uint64_t allocs0 = allocs_now();
+    const auto report = bed.run_closed_loop(
+        clients, static_cast<sim::Duration>(sim_seconds * sim::kSecond));
+    const std::uint64_t allocs1 = allocs_now();
+    live1 = live_bytes_now();
+    score.completed = report.completed;
+    score.allocs_per_request =
+        report.completed ? static_cast<double>(allocs1 - allocs0) /
+                               static_cast<double>(report.completed)
+                         : 0.0;
+    score.wall_seconds = seconds_since(t0);
+    score.perf = bed.network().perf();
+  }
+  score.live_heap_bytes = live1 - live0;
   return score;
 }
 
@@ -280,8 +318,30 @@ RubisScore run_rubis_hip(int clients, double sim_seconds) {
 constexpr double kSeedTcpAllocsPerPacket = 7.50;
 constexpr double kSeedRubisAllocsPerRequest = 1250.6;
 
+void write_rubis_json(std::FILE* f, const RubisScore& rubis, bool last) {
+  std::fprintf(f, "  \"rubis_%s\": {\n", core::mode_name(rubis.mode));
+  std::fprintf(f, "    \"completed_requests\": %llu,\n",
+               static_cast<unsigned long long>(rubis.completed));
+  if (rubis.mode == core::SecurityMode::kHip) {
+    std::fprintf(f,
+                 "    \"heap_allocs_per_request\": {\"before\": %.1f, "
+                 "\"after\": %.1f},\n",
+                 kSeedRubisAllocsPerRequest, rubis.allocs_per_request);
+  } else {
+    std::fprintf(f, "    \"heap_allocs_per_request\": %.1f,\n",
+                 rubis.allocs_per_request);
+  }
+  std::fprintf(f, "    \"live_heap_bytes\": %lld,\n",
+               static_cast<long long>(rubis.live_heap_bytes));
+  std::fprintf(f, "    \"wall_seconds\": %.2f,\n", rubis.wall_seconds);
+  std::fprintf(f, "    \"sim_perf\": {\n");
+  rubis.perf.write_json_fields(f, "      ");
+  std::fprintf(f, "\n    }\n  }%s\n", last ? "" : ",");
+}
+
 void write_sim_json(const LoopScore& loop, const EchoScore& echo,
-                    const RubisScore& rubis, const char* path) {
+                    std::int64_t dataset_bytes,
+                    const std::vector<RubisScore>& rubis, const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
     std::fprintf(stderr, "warning: could not write %s\n", path);
@@ -311,17 +371,11 @@ void write_sim_json(const LoopScore& loop, const EchoScore& echo,
   std::fprintf(f, "    \"sim_perf\": {\n");
   echo.perf.write_json_fields(f, "      ");
   std::fprintf(f, "\n    }\n  },\n");
-  std::fprintf(f, "  \"rubis_hip\": {\n");
-  std::fprintf(f, "    \"completed_requests\": %llu,\n",
-               static_cast<unsigned long long>(rubis.completed));
-  std::fprintf(f,
-               "    \"heap_allocs_per_request\": {\"before\": %.1f, "
-               "\"after\": %.1f},\n",
-               kSeedRubisAllocsPerRequest, rubis.allocs_per_request);
-  std::fprintf(f, "    \"wall_seconds\": %.2f,\n", rubis.wall_seconds);
-  std::fprintf(f, "    \"sim_perf\": {\n");
-  rubis.perf.write_json_fields(f, "      ");
-  std::fprintf(f, "\n    }\n  }\n");
+  std::fprintf(f, "  \"rubis_dataset_bytes\": %lld,\n",
+               static_cast<long long>(dataset_bytes));
+  for (std::size_t i = 0; i < rubis.size(); ++i) {
+    write_rubis_json(f, rubis[i], i + 1 == rubis.size());
+  }
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nWrote %s\n", path);
@@ -332,12 +386,16 @@ void write_sim_json(const LoopScore& loop, const EchoScore& echo,
 
 int main(int argc, char** argv) {
   using namespace hipcloud::bench;
+  using hipcloud::core::SecurityMode;
+  using hipcloud::core::mode_name;
   // Smaller iteration counts for CTest smoke runs: micro_sim --quick
   const bool quick = argc > 1 && std::string_view(argv[1]) == "--quick";
   const std::size_t events = quick ? 200'000 : 2'000'000;
   const std::size_t churn = quick ? 200'000 : 2'000'000;
   const std::uint64_t echos = quick ? 2'000 : 20'000;
-  const double rubis_secs = quick ? 2.0 : 8.0;
+  // The RUBiS arms are cheap (well under a second each) and the --quick
+  // gate needs steady state, so both modes run them at full length.
+  const double rubis_secs = 8.0;
 
   std::printf("Simulator-core micro-bench\n==========================\n\n");
 
@@ -358,17 +416,45 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(echo.packets),
               echo.allocs_per_packet, echo.sim_packets_per_wall_second);
 
-  const auto rubis = run_rubis_hip(4, rubis_secs);
-  std::printf("rubis-hip closed loop (4 clients, %.0f sim-s)\n"
-              "  completed requests: %llu\n"
-              "  heap allocs/request: %.1f\n"
-              "  pool misses/packet: %.2f (hit rate %.0f%%)\n"
-              "  wall seconds: %.2f\n",
-              rubis_secs, static_cast<unsigned long long>(rubis.completed),
-              rubis.allocs_per_request, rubis.perf.pool_misses_per_packet(),
-              100.0 * rubis.perf.pool_hit_rate(), rubis.wall_seconds);
+  // The dataset every RUBiS world shares, built once before the arms so
+  // that no arm's live heap counts it.
+  const std::int64_t dataset0 = live_bytes_now();
+  const auto tables = hipcloud::apps::rubis_tables(
+      rubis_config(SecurityMode::kBasic).deployment.dataset);
+  const std::int64_t dataset_bytes = live_bytes_now() - dataset0;
+  std::printf("rubis dataset (built once, shared): %.2f MB\n\n",
+              static_cast<double>(dataset_bytes) / 1e6);
+
+  std::vector<RubisScore> arms;
+  bool over_budget = false;
+  for (const auto mode :
+       {SecurityMode::kBasic, SecurityMode::kHip, SecurityMode::kSsl}) {
+    const auto rubis = run_rubis(mode, 4, rubis_secs);
+    std::printf("rubis-%s closed loop (4 clients, %.0f sim-s)\n"
+                "  completed requests: %llu\n"
+                "  heap allocs/request: %.1f (budget %.0f)\n"
+                "  live heap after run: %.2f MB\n"
+                "  pool misses/packet: %.2f (hit rate %.0f%%)\n"
+                "  wall seconds: %.2f\n\n",
+                mode_name(mode), rubis_secs,
+                static_cast<unsigned long long>(rubis.completed),
+                rubis.allocs_per_request, kMaxAllocsPerRequest,
+                static_cast<double>(rubis.live_heap_bytes) / 1e6,
+                rubis.perf.pool_misses_per_packet(),
+                100.0 * rubis.perf.pool_hit_rate(), rubis.wall_seconds);
+    if (rubis.completed == 0 ||
+        rubis.allocs_per_request > kMaxAllocsPerRequest) {
+      std::printf("FAIL: rubis-%s exceeds %.0f heap allocations per "
+                  "request\n\n",
+                  mode_name(mode), kMaxAllocsPerRequest);
+      over_budget = true;
+    }
+    arms.push_back(rubis);
+  }
 
   // The quick CTest smoke run keeps the JSON artifact from the full run.
-  if (!quick) write_sim_json(loop, echo, rubis, "BENCH_sim.json");
-  return 0;
+  if (!quick) {
+    write_sim_json(loop, echo, dataset_bytes, arms, "BENCH_sim.json");
+  }
+  return over_budget ? 1 : 0;
 }

@@ -106,13 +106,13 @@ int main() {
 
   // A toy management service on the VM, reachable only via HIP.
   u_vm.bind(22, [&](const net::Endpoint& from, const net::IpAddr&,
-                    crypto::Bytes) {
+                    crypto::Buffer) {
     u_vm.send(22, from, crypto::to_bytes("uptime: 42 days, load 0.03"));
   });
 
   bool got_reply = false;
   u_admin.bind(9000, [&](const net::Endpoint&, const net::IpAddr&,
-                         crypto::Bytes data) {
+                         crypto::Buffer data) {
     std::printf("management reply     : %.*s\n",
                 static_cast<int>(data.size()),
                 data.empty() ? "" : reinterpret_cast<const char*>(data.data()));

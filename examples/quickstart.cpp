@@ -44,7 +44,7 @@ int main() {
   //    triggers the Base Exchange automatically.
   net::UdpStack udp_a(alice), udp_b(bob);
   udp_b.bind(7777, [&](const net::Endpoint& from, const net::IpAddr&,
-                       crypto::Bytes data) {
+                       crypto::Buffer data) {
     std::printf("bob received %zu bytes from %s: \"%.*s\"\n", data.size(),
                 from.to_string().c_str(), static_cast<int>(data.size()),
                 data.empty() ? "" : reinterpret_cast<const char*>(data.data()));
@@ -53,7 +53,7 @@ int main() {
 
   bool replied = false;
   udp_a.bind(5555, [&](const net::Endpoint&, const net::IpAddr&,
-                       crypto::Bytes data) {
+                       crypto::Buffer data) {
     std::printf("alice received reply: \"%.*s\"\n",
                 static_cast<int>(data.size()),
                 data.empty() ? "" : reinterpret_cast<const char*>(data.data()));

@@ -44,13 +44,13 @@ int main() {
   net::UdpStack us(service->node()), uc(client->node());
   std::uint64_t served = 0;
   us.bind(7, [&](const net::Endpoint& from, const net::IpAddr&,
-                 crypto::Bytes) {
+                 crypto::Buffer) {
     ++served;
     us.send(7, from, crypto::to_bytes(std::to_string(served)));
   });
 
   std::uint64_t replies = 0;
-  uc.bind(9, [&](const net::Endpoint&, const net::IpAddr&, crypto::Bytes) {
+  uc.bind(9, [&](const net::Endpoint&, const net::IpAddr&, crypto::Buffer) {
     ++replies;
   });
   // Steady 50 req/s probe stream for 10 s.

@@ -5,6 +5,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "apps/stream.hpp"
 
@@ -13,11 +15,23 @@ namespace hipcloud::apps {
 /// Result of a database query: rows of (id, payload).
 struct DbResult {
   bool ok = true;
-  std::vector<std::pair<std::uint64_t, crypto::Bytes>> rows;
+  std::vector<std::pair<std::uint64_t, crypto::Buffer>> rows;
 
+  /// The wire form: ok(1) | count(4) | count x (id(8) | len(4) | bytes).
   crypto::Bytes serialize() const;
-  static std::optional<DbResult> parse(crypto::BytesView wire);
+  /// Rows are drawn from `pool` (unpooled when null).
+  static std::optional<DbResult> parse(crypto::BytesView wire,
+                                       crypto::BufferPool* pool = nullptr);
 };
+
+/// Tables of rows: table name -> id -> payload.
+using DbTables =
+    std::map<std::string, std::map<std::uint64_t, crypto::Bytes>, std::less<>>;
+
+/// The deterministic payload of a synthetic row; it depends only on the
+/// length of the table name, the id and the size.
+crypto::Bytes synthetic_row(std::string_view table, std::uint64_t id,
+                            std::size_t size);
 
 struct DbConfig {
   /// MySQL-style query cache: identical SELECTs served from memory. The
@@ -39,6 +53,11 @@ struct DbConfig {
 ///   RANGE <table> <lo> <hi>      (rows with lo <= id < hi)
 ///   PUT <table> <id> <size>      (synthetic payload of `size` bytes)
 ///   COUNT <table>
+///
+/// Rows live in two layers: an optional read-only base shared with other
+/// servers (the RUBiS dataset, built once per process), and this server's
+/// own rows (load_row and PUT), which shadow base rows of the same id and
+/// are never visible to another server.
 class DatabaseServer {
  public:
   DatabaseServer(net::Node* node, net::TcpStack* tcp, std::uint16_t port,
@@ -47,7 +66,12 @@ class DatabaseServer {
   /// Bulk-load a synthetic row (dataset setup; no cost charged).
   void load_row(const std::string& table, std::uint64_t id,
                 std::size_t payload_size);
+  /// Serve `tables` as the read-only base layer (dataset setup).
+  void share_tables(std::shared_ptr<const DbTables> tables);
   std::size_t table_size(const std::string& table) const;
+  /// The stored payload of one row, or null.
+  const crypto::Bytes* find_row(const std::string& table,
+                                std::uint64_t id) const;
 
   std::uint64_t queries_executed() const { return queries_; }
   std::uint64_t cache_hits() const { return cache_hits_; }
@@ -55,21 +79,24 @@ class DatabaseServer {
  private:
   struct Session {
     std::unique_ptr<Stream> stream;
-    crypto::Bytes buf;
+    crypto::BufferQueue recv;  // query frames not yet executed
     bool busy = false;
-    std::deque<std::string> pending;
     bool closed = false;
   };
-
   void on_accept(std::shared_ptr<net::TcpConnection> conn);
   void pump(std::uint64_t id);
-  /// Executes the query, returns the result and its cost in cycles.
-  std::pair<DbResult, double> execute(const std::string& query);
+  /// Executes the query; returns the framed reply and its cost in cycles.
+  std::pair<crypto::Buffer, double> execute(std::string_view query);
+  /// Rows of `table` with lo <= id < hi, in id order, into rows_.
+  void collect_range(const std::string& table, std::uint64_t lo,
+                     std::uint64_t hi);
 
   net::Node* node_;
   DbConfig config_;
-  std::map<std::string, std::map<std::uint64_t, crypto::Bytes>> tables_;
-  std::map<std::string, crypto::Bytes> cache_;  // query -> serialized result
+  std::shared_ptr<const DbTables> shared_;
+  DbTables own_;
+  std::map<std::string, crypto::Bytes, std::less<>> cache_;  // query -> frame
+  std::vector<std::pair<std::uint64_t, crypto::BytesView>> rows_;  // scratch
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
   std::uint64_t queries_ = 0;
@@ -84,19 +111,23 @@ class DbClient {
   DbClient(net::Node* node, net::TcpStack* tcp, net::Endpoint server,
            TransportConfig transport = {});
 
-  void query(const std::string& q, ResultFn done);
+  void query(std::string_view q, ResultFn done);
 
   std::uint64_t failures() const { return failures_; }
 
  private:
   struct Conn {
     std::unique_ptr<Stream> stream;
-    crypto::Bytes buf;
+    crypto::BufferQueue recv;  // reply bytes not yet framed
     bool connected = false;
     bool busy = false;
     bool dead = false;
     ResultFn done;
     sim::Time issued_at = 0;
+  };
+  struct Waiting {
+    crypto::Buffer frame;  // the framed query
+    ResultFn done;
   };
 
   void dispatch();
@@ -109,7 +140,7 @@ class DbClient {
   std::size_t max_conns_ = 16;
   std::uint64_t next_conn_id_ = 1;
   std::map<std::uint64_t, std::shared_ptr<Conn>> conns_;
-  std::deque<std::pair<std::string, ResultFn>> waiting_;
+  std::deque<Waiting> waiting_;
   std::uint64_t failures_ = 0;
 };
 

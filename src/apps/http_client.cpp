@@ -82,13 +82,13 @@ void HttpClient::dispatch(const net::Endpoint& dst) {
         cit->second->connected = true;
         dispatch(dst);
       });
-      conn->stream->on_data([this, dst, id](crypto::Bytes chunk) {
+      conn->stream->on_data([this, dst, id](crypto::Buffer chunk) {
         const auto pit = pools_.find(dst);
         if (pit == pools_.end()) return;
         const auto cit = pit->second.conns.find(id);
         if (cit == pit->second.conns.end()) return;
         auto& c = *cit->second;
-        c.parser.feed(chunk);
+        c.parser.feed(std::move(chunk));
         if (c.parser.error()) {
           c.dead = true;
           finish(dst, id, std::nullopt);
@@ -150,7 +150,7 @@ void HttpClient::issue(const net::Endpoint& dst, std::uint64_t conn_id,
       });
   conn->timer_armed = true;
   ++requests_sent_;
-  conn->stream->send(req.serialize());
+  conn->stream->send(req.serialize(&node_->network().buffer_pool()));
 }
 
 void HttpClient::finish(const net::Endpoint& dst, std::uint64_t conn_id,

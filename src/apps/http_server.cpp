@@ -18,10 +18,10 @@ void HttpServer::on_accept(std::shared_ptr<net::TcpConnection> conn) {
   session->stream = make_server_stream(std::move(conn), node_, transport_);
   sessions_[id] = session;
 
-  session->stream->on_data([this, id](crypto::Bytes chunk) {
+  session->stream->on_data([this, id](crypto::Buffer chunk) {
     const auto it = sessions_.find(id);
     if (it == sessions_.end()) return;
-    it->second->parser.feed(chunk);
+    it->second->parser.feed(std::move(chunk));
     if (it->second->parser.error()) {
       it->second->stream->close();
       sessions_.erase(it);
@@ -61,7 +61,7 @@ void HttpServer::pump(std::uint64_t id) {
         sessions_.erase(id);
         return;
       }
-      session->stream->send(resp.serialize());
+      session->stream->send(resp.serialize(&node_->network().buffer_pool()));
       ++requests_served_;
       session->busy = false;
       pump(id);  // next pipelined request, if any

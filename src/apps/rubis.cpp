@@ -1,26 +1,77 @@
 #include "apps/rubis.hpp"
 
+#include <array>
+#include <charconv>
+#include <cstring>
+
+#include "sim/memo.hpp"
+
 namespace hipcloud::apps {
 
-using crypto::Bytes;
+using crypto::Buffer;
+
+namespace {
+
+DbTables build_tables(const RubisConfig& config) {
+  DbTables tables;
+  auto fill = [&tables](const char* name, std::size_t rows, std::size_t bytes) {
+    auto& table = tables[name];
+    for (std::size_t id = 0; id < rows; ++id) {
+      table.emplace_hint(table.end(), id, synthetic_row(name, id, bytes));
+    }
+  };
+  fill("items", config.items, config.item_bytes);
+  fill("users", config.users, config.user_bytes);
+  fill("bids", config.bids, config.bid_bytes);
+  return tables;
+}
+
+/// Calls put() with each piece of the page in order.
+template <typename Put>
+void page_pieces(std::string_view title, const DbResult& rows, Put&& put) {
+  put("<html><head><title>");
+  put(title);
+  put("</title></head><body>");
+  for (const auto& [id, payload] : rows.rows) {
+    char digits[24];
+    const auto [end, ec] = std::to_chars(digits, digits + sizeof digits, id);
+    (void)ec;  // 24 digits always fit a uint64
+    put("<div class=\"row\" id=\"");
+    put(std::string_view(digits, static_cast<std::size_t>(end - digits)));
+    put("\">");
+    // Embed a slice of the row payload as page content.
+    put(std::string_view(reinterpret_cast<const char*>(payload.data()),
+                         std::min<std::size_t>(payload.size(), 512)));
+    put("</div>");
+  }
+  put("</body></html>");
+}
+
+}  // namespace
+
+std::shared_ptr<const DbTables> rubis_tables(const RubisConfig& config) {
+  // Every row is fixed by the dataset shape, so the shape is the memo's
+  // key. The memo holds plain bytes, never pooled Buffers: a pool
+  // belongs to one world.
+  using Shape = std::array<std::size_t, 6>;
+  static const sim::Memo<Shape, std::shared_ptr<const DbTables>> memo{};
+  const Shape shape{config.items,      config.users,      config.bids,
+                    config.item_bytes, config.user_bytes, config.bid_bytes};
+  return memo.get(shape, [&config] {
+    return std::make_shared<const DbTables>(build_tables(config));
+  });
+}
 
 void load_rubis_dataset(DatabaseServer& db, const RubisConfig& config) {
-  for (std::size_t i = 0; i < config.items; ++i) {
-    db.load_row("items", i, config.item_bytes);
-  }
-  for (std::size_t u = 0; u < config.users; ++u) {
-    db.load_row("users", u, config.user_bytes);
-  }
-  for (std::size_t b = 0; b < config.bids; ++b) {
-    db.load_row("bids", b, config.bid_bytes);
-  }
+  db.share_tables(rubis_tables(config));
 }
 
 RubisWebServer::RubisWebServer(net::Node* node, net::TcpStack* tcp,
                                std::uint16_t port, TransportConfig front,
                                net::Endpoint db, TransportConfig db_transport,
                                RubisConfig config)
-    : server_(node, tcp, port, std::move(front)),
+    : pool_(node->network().buffer_pool()),
+      server_(node, tcp, port, std::move(front)),
       db_(node, tcp, std::move(db), std::move(db_transport)),
       config_(config) {
   server_.set_handler([this](const HttpRequest& req,
@@ -29,37 +80,35 @@ RubisWebServer::RubisWebServer(net::Node* node, net::TcpStack* tcp,
   });
 }
 
-Bytes RubisWebServer::render(const std::string& title, const DbResult& rows,
-                             std::size_t min_size) {
+Buffer RubisWebServer::render(std::string_view title, const DbResult& rows,
+                              std::size_t min_size) const {
   // "Template rendering": page header, one fragment per row, padding to a
   // realistic page size.
-  Bytes page = crypto::to_bytes("<html><head><title>" + title +
-                                "</title></head><body>");
-  for (const auto& [id, payload] : rows.rows) {
-    const Bytes fragment = crypto::to_bytes(
-        "<div class=\"row\" id=\"" + std::to_string(id) + "\">");
-    page.insert(page.end(), fragment.begin(), fragment.end());
-    // Embed a slice of the row payload as page content.
-    const std::size_t take = std::min<std::size_t>(payload.size(), 512);
-    page.insert(page.end(), payload.begin(),
-                payload.begin() + static_cast<long>(take));
-    const Bytes closing = crypto::to_bytes("</div>");
-    page.insert(page.end(), closing.begin(), closing.end());
-  }
-  const Bytes footer = crypto::to_bytes("</body></html>");
-  page.insert(page.end(), footer.begin(), footer.end());
-  if (page.size() < min_size) page.resize(min_size, ' ');
+  std::size_t size = 0;
+  page_pieces(title, rows, [&size](std::string_view s) { size += s.size(); });
+  Buffer page = pool_.make(std::max(size, min_size));
+  std::uint8_t* p = page.data();
+  page_pieces(title, rows, [&p](std::string_view s) {
+    if (!s.empty()) std::memcpy(p, s.data(), s.size());
+    p += s.size();
+  });
+  if (size < min_size) std::memset(p, ' ', min_size - size);
   return page;
+}
+
+Buffer RubisWebServer::text(std::string_view s) const {
+  return pool_.copy(crypto::BytesView(
+      reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
 }
 
 void RubisWebServer::handle(const HttpRequest& req,
                             HttpServer::RespondFn respond) {
-  const std::string path = req.path_only();
-  auto respond_with = [respond, path](const char* title,
+  const std::string_view path = req.path_only();
+  auto respond_with = [this, respond](const char* title,
                                       std::optional<DbResult> rows,
                                       std::size_t min_size) {
     if (!rows || !rows->ok) {
-      respond(HttpResponse::make(500, crypto::to_bytes("db error")));
+      respond(HttpResponse::make(500, text("db error")));
       return;
     }
     respond(HttpResponse::make(200, render(title, *rows, min_size)));
@@ -84,7 +133,7 @@ void RubisWebServer::handle(const HttpRequest& req,
   if (path == "/item") {
     const auto id = req.query_param("id");
     if (!id) {
-      respond(HttpResponse::make(400, crypto::to_bytes("missing id")));
+      respond(HttpResponse::make(400, text("missing id")));
       return;
     }
     // Item lookup, then seller lookup — the classic two-query page.
@@ -93,7 +142,7 @@ void RubisWebServer::handle(const HttpRequest& req,
         [this, respond, respond_with](std::optional<DbResult> item,
                                       sim::Duration) {
           if (!item || !item->ok || item->rows.empty()) {
-            respond(HttpResponse::make(404, crypto::to_bytes("no such item")));
+            respond(HttpResponse::make(404, text("no such item")));
             return;
           }
           const std::uint64_t seller =
@@ -136,18 +185,17 @@ void RubisWebServer::handle(const HttpRequest& req,
     const std::uint64_t bid_id = next_bid_id_++;
     db_.query("PUT bids " + std::to_string(bid_id) + " " +
                   std::to_string(config_.bid_bytes),
-              [respond](std::optional<DbResult> result, sim::Duration) {
+              [this, respond](std::optional<DbResult> result, sim::Duration) {
                 if (!result || !result->ok) {
-                  respond(HttpResponse::make(500,
-                                             crypto::to_bytes("bid failed")));
+                  respond(HttpResponse::make(500, text("bid failed")));
                   return;
                 }
                 respond(HttpResponse::make(
-                    200, crypto::to_bytes("<html>bid accepted</html>")));
+                    200, text("<html>bid accepted</html>")));
               });
     return;
   }
-  respond(HttpResponse::make(404, crypto::to_bytes("not found")));
+  respond(HttpResponse::make(404, text("not found")));
 }
 
 HttpRequest RubisRequestMix::next() {
@@ -168,7 +216,9 @@ HttpRequest RubisRequestMix::next() {
   } else {
     req.method = "POST";
     req.path = "/bid";
-    req.body = crypto::to_bytes("item=1&amount=42");
+    static constexpr std::string_view kBid = "item=1&amount=42";
+    req.body = crypto::BytesView(
+        reinterpret_cast<const std::uint8_t*>(kBid.data()), kBid.size());
   }
   return req;
 }

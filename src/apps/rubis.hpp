@@ -22,7 +22,13 @@ struct RubisConfig {
   bool read_only = false;
 };
 
-/// Bulk-load the auction tables into a DatabaseServer.
+/// The auction tables for `config`'s shape (items, users, bids and their
+/// row sizes). Built once per process for each shape and shared
+/// read-only by every caller (DESIGN.md §5b).
+std::shared_ptr<const DbTables> rubis_tables(const RubisConfig& config);
+
+/// Load the auction tables into a DatabaseServer: it serves the shared
+/// rubis_tables() as its base layer, so its own writes stay private.
 void load_rubis_dataset(DatabaseServer& db, const RubisConfig& config);
 
 /// The web tier of the auction service: an HttpServer whose handler maps
@@ -52,9 +58,12 @@ class RubisWebServer {
 
  private:
   void handle(const HttpRequest& req, HttpServer::RespondFn respond);
-  static crypto::Bytes render(const std::string& title, const DbResult& rows,
-                              std::size_t min_size);
+  /// The page for `rows`, padded to `min_size`, in one pooled buffer.
+  crypto::Buffer render(std::string_view title, const DbResult& rows,
+                        std::size_t min_size) const;
+  crypto::Buffer text(std::string_view s) const;
 
+  crypto::BufferPool& pool_;
   HttpServer server_;
   DbClient db_;
   RubisConfig config_;

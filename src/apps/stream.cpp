@@ -9,7 +9,7 @@ class TcpStream final : public Stream {
   explicit TcpStream(std::shared_ptr<net::TcpConnection> conn)
       : conn_(std::move(conn)) {}
 
-  void send(crypto::Bytes data) override { conn_->send(std::move(data)); }
+  void send(crypto::Buffer data) override { conn_->send(std::move(data)); }
   void close() override { conn_->close(); }
   bool ready() const override { return conn_->established(); }
   void on_ready(ReadyFn fn) override {
@@ -37,7 +37,7 @@ class TlsStream final : public Stream {
                                              config.tls, config.tls_seed);
   }
 
-  void send(crypto::Bytes data) override { session_->send(std::move(data)); }
+  void send(crypto::Buffer data) override { session_->send(std::move(data)); }
   void close() override { session_->close(); }
   bool ready() const override { return session_->established(); }
   void on_ready(ReadyFn fn) override {

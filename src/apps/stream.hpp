@@ -11,15 +11,18 @@ namespace hipcloud::apps {
 /// Transport-agnostic byte stream: the same application code runs over
 /// plain TCP (the paper's "basic" scenario and the HIP scenario, where
 /// security lives below at layer 3.5) or over TLS (the "SSL" scenario).
+/// Payloads travel as crypto::Buffer both ways: send() hands a message to
+/// the transport without a copy, and DataFn receives each chunk as the
+/// transport delivered it (a TCP segment, or one decrypted TLS record).
 class Stream {
  public:
   using ReadyFn = std::function<void()>;
-  using DataFn = std::function<void(crypto::Bytes)>;
+  using DataFn = std::function<void(crypto::Buffer)>;
   using CloseFn = std::function<void()>;
 
   virtual ~Stream() = default;
 
-  virtual void send(crypto::Bytes data) = 0;
+  virtual void send(crypto::Buffer data) = 0;
   virtual void close() = 0;
   virtual bool ready() const = 0;
   virtual void on_ready(ReadyFn fn) = 0;

@@ -1,5 +1,7 @@
 #include "apps/workload.hpp"
 
+#include <cstring>
+
 namespace hipcloud::apps {
 
 // ---------------------------------------------------------------------------
@@ -151,7 +153,7 @@ IperfServer::IperfServer(net::Node* node, net::TcpStack* tcp,
   (void)node;
   tcp->listen(port, [this](std::shared_ptr<net::TcpConnection> conn) {
     conn->on_data(
-        [this](crypto::Bytes data) { bytes_received_ += data.size(); });
+        [this](crypto::Buffer data) { bytes_received_ += data.size(); });
     conns_.push_back(std::move(conn));
   });
 }
@@ -172,6 +174,12 @@ void IperfClient::run(net::Node* node, net::TcpStack* tcp,
   constexpr std::size_t kChunk = 128 * 1024;
   constexpr std::size_t kQueueCap = 512 * 1024;
   struct Feeder {
+    static crypto::Buffer chunk() {
+      crypto::Buffer b = crypto::Buffer::allocate(nullptr, kChunk);
+      std::memset(b.data(), 0x49, kChunk);  // 'I'
+      return b;
+    }
+
     std::shared_ptr<net::TcpConnection> conn;
     sim::EventLoop* loop;
     sim::Time deadline;
@@ -190,7 +198,7 @@ void IperfClient::run(net::Node* node, net::TcpStack* tcp,
         return;
       }
       if (conn->established() && conn->send_queue_bytes() < kQueueCap) {
-        conn->send(crypto::Bytes(kChunk, 0x49));  // 'I'
+        conn->send(chunk());
       }
       loop->schedule(sim::kMillisecond, *this);
     }

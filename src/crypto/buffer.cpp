@@ -1,5 +1,7 @@
 #include "crypto/buffer.hpp"
 
+#include <algorithm>
+
 #include "sim/check.hpp"
 
 namespace hipcloud::crypto {
@@ -85,6 +87,15 @@ void Buffer::grow(std::size_t front_extra, std::size_t back_extra) {
   off_ = noff;
 }
 
+Buffer Buffer::allocate(BufferPool* pool, std::size_t len) {
+  if (pool != nullptr) return pool->make(len);
+  Buffer b;
+  if (len == 0) return b;
+  b.block_ = new std::uint8_t[len];
+  b.cap_ = b.len_ = static_cast<std::uint32_t>(len);
+  return b;
+}
+
 BufferPool::~BufferPool() {
   for (auto& cls : free_) {
     for (std::uint8_t* block : cls) delete[] block;
@@ -162,6 +173,77 @@ std::size_t BufferPool::cached_blocks() const {
   std::size_t n = 0;
   for (const auto& cls : free_) n += cls.size();
   return n;
+}
+
+void BufferQueue::append(Buffer b) {
+  if (b.empty()) return;
+  size_ += b.size();
+  segs_.push_back(std::move(b));
+}
+
+void BufferQueue::pop_segment() {
+  segs_[head_] = Buffer();
+  if (++head_ == segs_.size()) {
+    segs_.clear();
+    head_ = 0;
+  } else if (head_ >= 16 && 2 * head_ >= segs_.size()) {
+    // A queue that never drains (a bulk sender) would otherwise grow its
+    // handle array without bound; compact once half of it is spent.
+    segs_.erase(segs_.begin(),
+                segs_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+void BufferQueue::consume(std::size_t n) {
+  HIPCLOUD_CHECK(n <= size_, "BufferQueue::consume past the end");
+  size_ -= n;
+  while (n > 0) {
+    Buffer& seg = segs_[head_];
+    if (n < seg.size()) {
+      seg.pop_front(n);
+      return;
+    }
+    n -= seg.size();
+    pop_segment();
+  }
+}
+
+Buffer BufferQueue::take(std::size_t n) {
+  HIPCLOUD_CHECK(n <= size_, "BufferQueue::take past the end");
+  if (n == 0) return Buffer();
+  if (segs_[head_].size() == n) {
+    Buffer out = std::move(segs_[head_]);
+    size_ -= n;
+    pop_segment();
+    return out;
+  }
+  BufferPool* pool = segs_[head_].pool_;
+  Buffer out = Buffer::allocate(pool, n);
+  copy_out(0, n, out.data());
+  if (pool != nullptr && pool->perf_ != nullptr) {
+    pool->perf_->payload_bytes_copied += n;
+  }
+  consume(n);
+  return out;
+}
+
+void BufferQueue::copy_out(std::size_t offset, std::size_t n,
+                           std::uint8_t* out) const {
+  HIPCLOUD_CHECK(offset <= size_ && n <= size_ - offset,
+                 "BufferQueue::copy_out past the end");
+  for (std::size_t i = head_; n > 0; ++i) {
+    const Buffer& seg = segs_[i];
+    if (offset >= seg.size()) {
+      offset -= seg.size();
+      continue;
+    }
+    const std::size_t k = std::min(n, seg.size() - offset);
+    std::memcpy(out, seg.data() + offset, k);
+    out += k;
+    n -= k;
+    offset = 0;
+  }
 }
 
 void append_be(Buffer& out, std::uint64_t value, std::size_t width) {

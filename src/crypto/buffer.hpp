@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "crypto/bytes.hpp"
 #include "sim/perf.hpp"
@@ -30,10 +31,14 @@ class BufferPool;
 /// Network, which outlives every packet in that world); buffers created
 /// from plain Bytes carry no pool and free their own block.
 ///
-/// The API mirrors the std::vector subset the protocol layers used on
-/// `crypto::Bytes` payloads, plus implicit conversions to BytesView
-/// (free) and Bytes (copying) so cold call sites and tests keep working
-/// unchanged.
+/// Above TCP, the same type carries application payloads: a DB row, an
+/// HTTP message or a TLS record is built in one Buffer and handed down to
+/// TCP's send queue without a copy, and received segments come up as
+/// Buffers too. Where bytes wait for more to arrive they sit in a
+/// BufferQueue. The API mirrors the std::vector subset the protocol layers
+/// used, plus a free implicit conversion to BytesView. There is no
+/// conversion to Bytes: code that needs an owning vector copies
+/// explicitly, so every payload copy is visible at its call site.
 class Buffer {
  public:
   using value_type = std::uint8_t;
@@ -131,10 +136,12 @@ class Buffer {
 
   void push_back(std::uint8_t b) { *append(1) = b; }
 
+  /// `len` uninitialised bytes from `pool`, or an exact-fit unpooled
+  /// block when `pool` is null.
+  static Buffer allocate(BufferPool* pool, std::size_t len);
+
   BytesView view() const { return BytesView(data(), len_); }
   operator BytesView() const { return view(); }  // NOLINT
-  /// Copying escape hatch for code that stores payloads as Bytes.
-  operator Bytes() const { return Bytes(begin(), end()); }  // NOLINT
 
   friend bool operator==(const Buffer& a, const Buffer& b) {
     return a.len_ == b.len_ &&
@@ -143,6 +150,7 @@ class Buffer {
 
  private:
   friend class BufferPool;
+  friend class BufferQueue;
 
   Buffer(BufferPool* pool, std::uint8_t* block, std::uint32_t cap,
          std::uint32_t off, std::uint32_t len)
@@ -203,6 +211,7 @@ class BufferPool {
 
  private:
   friend class Buffer;
+  friend class BufferQueue;
 
   static constexpr std::size_t kClasses = 7;  // 64,128,...,4096
 
@@ -226,6 +235,40 @@ inline void Buffer::steal(Buffer& o) noexcept {
   }
   take_fields(o);
 }
+
+/// A byte stream held as a queue of Buffers: the one place bytes wait
+/// above the packet path (TCP's send buffer, and the TLS-record,
+/// HTTP-message and DB-frame receive framers). append() moves a Buffer in
+/// without copying. consume() drops bytes from the front, and a segment
+/// goes back to its pool as soon as its last byte is consumed, so a
+/// drained queue holds no payload block. take(n) hands the first n bytes
+/// out as one contiguous Buffer: the head segment itself when n matches
+/// it exactly, otherwise a single copy into a block from the head
+/// segment's pool.
+class BufferQueue {
+ public:
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::size_t segments() const { return segs_.size() - head_; }
+  /// Segment `i` counted from the front (i < segments()).
+  const Buffer& segment(std::size_t i) const { return segs_[head_ + i]; }
+
+  void append(Buffer b);
+  /// Drop the first `n` bytes (n <= size()).
+  void consume(std::size_t n);
+  /// Remove and return the first `n` bytes (n <= size()).
+  Buffer take(std::size_t n);
+  /// Copy `n` bytes starting `offset` bytes in to `out`
+  /// (offset + n <= size()).
+  void copy_out(std::size_t offset, std::size_t n, std::uint8_t* out) const;
+
+ private:
+  void pop_segment();
+
+  std::vector<Buffer> segs_;
+  std::size_t head_ = 0;  // segs_[0, head_) are spent
+  std::size_t size_ = 0;
+};
 
 /// append_be overload so existing call sites that build payloads with
 /// crypto::append_be keep working on pooled buffers.

@@ -1,12 +1,10 @@
 #include "crypto/rsa.hpp"
 
-#include <future>
-#include <map>
 #include <stdexcept>
 
 #include "crypto/drbg.hpp"
 #include "crypto/sha256.hpp"
-#include "sim/thread_safety.hpp"
+#include "sim/memo.hpp"
 
 namespace hipcloud::crypto {
 
@@ -66,59 +64,22 @@ struct Generated {
   HmacDrbg drbg_after;
 };
 
-// Process-wide memo of rsa_generate, keyed by the DRBG state on entry and
-// the bit size, which together fix the result (DESIGN.md §5b). An entry
-// is a shared future, so concurrent requests for one key wait for a
-// single generation. The memo is logically const: get() is a pure
-// function of its arguments, and the cache behind it is guarded by mu_.
-class KeyMemo {
- public:
-  Generated get(const HmacDrbg& drbg, std::size_t bits) const
-      HIPCLOUD_EXCLUDES(mu_) {
-    Bytes id = drbg.state();
-    append_be(id, bits, 8);
-    std::promise<Generated> promise;
-    std::shared_future<Generated> entry;
-    bool owner = false;
-    {
-      sim::MutexLock lock(mu_);
-      auto [it, inserted] = entries_.try_emplace(id);
-      if (inserted) it->second = promise.get_future().share();
-      owner = inserted;
-      entry = it->second;
-    }
-    if (owner) {
-      try {
-        HmacDrbg work = drbg;
-        RsaKeyPair keys = generate_uncached(work, bits);
-        promise.set_value({std::move(keys), std::move(work)});
-      } catch (...) {
-        // Drop the entry so a later call retries, and hand the error to
-        // every waiter instead of leaving them blocked.
-        {
-          sim::MutexLock lock(mu_);
-          entries_.erase(id);
-        }
-        promise.set_exception(std::current_exception());
-      }
-    }
-    return entry.get();
-  }
-
- private:
-  mutable sim::Mutex mu_;
-  mutable std::map<Bytes, std::shared_future<Generated>> entries_
-      HIPCLOUD_GUARDED_BY(mu_);
-};
-
 }  // namespace
 
 RsaKeyPair rsa_generate(HmacDrbg& drbg, std::size_t bits) {
   if (bits < 128 || bits % 2 != 0) {
     throw std::invalid_argument("rsa_generate: bits must be even and >= 128");
   }
-  static const KeyMemo memo{};
-  Generated g = memo.get(drbg, bits);
+  // Key generation is a pure function of the DRBG state on entry and the
+  // bit size, so those two are the memo's key (DESIGN.md §5b).
+  static const sim::Memo<Bytes, Generated> memo{};
+  Bytes id = drbg.state();
+  append_be(id, bits, 8);
+  Generated g = memo.get(id, [&drbg, bits] {
+    HmacDrbg work = drbg;
+    RsaKeyPair keys = generate_uncached(work, bits);
+    return Generated{std::move(keys), std::move(work)};
+  });
   drbg = std::move(g.drbg_after);
   return std::move(g.keys);
 }

@@ -190,10 +190,11 @@ Bytes EspSa::protect(std::uint8_t inner_proto, std::uint8_t addr_mode,
   // single source of truth (the golden vectors pin it). The staging
   // buffer reserves exactly the room protect_packet() needs, so the
   // wrapper costs two allocations total (staging + returned Bytes).
-  return Bytes(protect_packet(
+  const crypto::Buffer wire = protect_packet(
       inner_proto, addr_mode,
       crypto::Buffer(payload, kFixedHeader + 2,
-                     kIcvSize + crypto::Aes::kBlockSize)));
+                     kIcvSize + crypto::Aes::kBlockSize));
+  return Bytes(wire.begin(), wire.end());
 }
 
 bool EspSa::replay_check_and_update(std::uint32_t seq) {
@@ -335,7 +336,7 @@ std::optional<EspSa::Unprotected> EspSa::unprotect(BytesView wire) {
   Unprotected out;
   out.inner_proto = r->inner_proto;
   out.addr_mode = r->addr_mode;
-  out.payload = Bytes(r->payload);
+  out.payload.assign(r->payload.begin(), r->payload.end());
   out.seq = r->seq;
   return out;
 }

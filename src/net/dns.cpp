@@ -71,10 +71,8 @@ Bytes encode_query(std::uint16_t id, DnsType type, const std::string& name) {
 }  // namespace
 
 DnsServer::DnsServer(Node* node, UdpStack* udp) : node_(node), udp_(udp) {
-  udp_->bind(kDnsPort,
-             [this](const Endpoint& from, const IpAddr&, Bytes data) {
-               on_query(from, std::move(data));
-             });
+  udp_->bind(kDnsPort, [this](const Endpoint& from, const IpAddr&,
+                              crypto::Buffer data) { on_query(from, data); });
 }
 
 void DnsServer::add_record(const std::string& name, DnsRecord record) {
@@ -95,7 +93,7 @@ std::size_t DnsServer::record_count() const {
 }
 
 // hipcheck:wire_input
-void DnsServer::on_query(const Endpoint& from, Bytes data) {
+void DnsServer::on_query(const Endpoint& from, BytesView data) {
   wire::Reader r(data);
   const auto id = r.u16be();
   const auto raw_type = r.u8();
@@ -127,9 +125,8 @@ void DnsServer::on_query(const Endpoint& from, Bytes data) {
 
 DnsResolver::DnsResolver(Node* node, UdpStack* udp, Endpoint server)
     : node_(node), udp_(udp), server_(std::move(server)) {
-  port_ = udp_->bind(0, [this](const Endpoint&, const IpAddr&, Bytes data) {
-    on_response(std::move(data));
-  });
+  port_ = udp_->bind(0, [this](const Endpoint&, const IpAddr&,
+                               crypto::Buffer data) { on_response(data); });
 }
 
 void DnsResolver::query(const std::string& name, DnsType type, ResultFn done) {
@@ -149,7 +146,7 @@ void DnsResolver::query(const std::string& name, DnsType type, ResultFn done) {
 }
 
 // hipcheck:wire_input
-void DnsResolver::on_response(Bytes data) {
+void DnsResolver::on_response(BytesView data) {
   wire::Reader r(data);
   const auto id = r.u16be();
   const auto count = r.u8();

@@ -47,7 +47,7 @@ class DnsServer {
   std::size_t record_count() const;
 
  private:
-  void on_query(const Endpoint& from, crypto::Bytes data);
+  void on_query(const Endpoint& from, crypto::BytesView data);
 
   Node* node_;
   UdpStack* udp_;
@@ -65,7 +65,7 @@ class DnsResolver {
   void query(const std::string& name, DnsType type, ResultFn done);
 
  private:
-  void on_response(crypto::Bytes data);
+  void on_response(crypto::BytesView data);
 
   Node* node_;
   UdpStack* udp_;

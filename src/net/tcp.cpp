@@ -140,7 +140,7 @@ void TcpConnection::start_connect() {
   snd_una_ = iss_;
   snd_nxt_ = iss_ + 1;  // SYN occupies one sequence number
   state_ = State::kSynSent;
-  send_segment(iss_, {}, /*syn=*/true, /*fin=*/false, /*ack=*/false);
+  send_segment(iss_, /*syn=*/true, /*fin=*/false, /*ack=*/false);
   arm_rto();
 }
 
@@ -152,11 +152,11 @@ void TcpConnection::start_accept(const TcpHeader& syn) {
   snd_una_ = iss_;
   snd_nxt_ = iss_ + 1;
   state_ = State::kSynReceived;
-  send_segment(iss_, {}, /*syn=*/true, /*fin=*/false, /*ack=*/true);
+  send_segment(iss_, /*syn=*/true, /*fin=*/false, /*ack=*/true);
   arm_rto();
 }
 
-void TcpConnection::send(Bytes data) {
+void TcpConnection::send(crypto::Buffer data) {
   if (state_ != State::kEstablished && state_ != State::kSynSent &&
       state_ != State::kSynReceived && state_ != State::kCloseWait) {
     HIPCLOUD_LOG(sim::LogLevel::kWarn, stack_->loop().now(), "tcp",
@@ -169,7 +169,7 @@ void TcpConnection::send(Bytes data) {
   // contract; audit builds surface the caller.
   HIPCLOUD_AUDIT(!fin_queued_, "TcpConnection::send() after close()");
   if (fin_queued_) return;  // no data after close()
-  send_buf_.insert(send_buf_.end(), data.begin(), data.end());
+  send_buf_.append(std::move(data));
   try_send();
 }
 
@@ -222,9 +222,7 @@ void TcpConnection::try_send() {
     if (can_send == 0) break;
     const auto chunk =
         std::min<std::uint32_t>(can_send, static_cast<std::uint32_t>(mss_));
-    Bytes data(send_buf_.begin() + already_sent,
-               send_buf_.begin() + already_sent + chunk);
-    send_segment(snd_nxt_, data, false, false, true);
+    send_segment(snd_nxt_, false, false, true, already_sent, chunk);
     if (!timing_) {
       timing_ = true;
       timed_seq_ = snd_nxt_;
@@ -237,7 +235,7 @@ void TcpConnection::try_send() {
   // FIN once everything queued has been sent.
   if (fin_queued_ && !fin_sent_ &&
       snd_nxt_ - snd_una_ == send_buf_.size()) {
-    send_segment(snd_nxt_, {}, false, /*fin=*/true, true);
+    send_segment(snd_nxt_, false, /*fin=*/true, true);
     snd_nxt_ += 1;
     fin_sent_ = true;
     arm_rto();
@@ -245,8 +243,9 @@ void TcpConnection::try_send() {
 }
 
 // hipcheck:hot
-void TcpConnection::send_segment(std::uint32_t seq, BytesView data, bool syn,
-                                 bool fin, bool ack) {
+void TcpConnection::send_segment(std::uint32_t seq, bool syn, bool fin,
+                                 bool ack, std::size_t offset,
+                                 std::size_t len) {
   TcpHeader h;
   h.src_port = local_.port;
   h.dst_port = remote_.port;
@@ -256,10 +255,10 @@ void TcpConnection::send_segment(std::uint32_t seq, BytesView data, bool syn,
   h.fin = fin;
   h.ack_flag = ack;
   h.window = config_.receive_window;
-  stack_->transmit(local_, remote_, h, data);
+  stack_->transmit(local_, remote_, h, send_buf_, offset, len);
 }
 
-void TcpConnection::send_ack() { send_segment(snd_nxt_, {}, false, false, true); }
+void TcpConnection::send_ack() { send_segment(snd_nxt_, false, false, true); }
 
 void TcpConnection::send_rst() {
   TcpHeader h;
@@ -267,7 +266,7 @@ void TcpConnection::send_rst() {
   h.dst_port = remote_.port;
   h.seq = snd_nxt_;
   h.rst = true;
-  stack_->transmit(local_, remote_, h, {});
+  stack_->transmit(local_, remote_, h, send_buf_, 0, 0);
 }
 
 void TcpConnection::update_rtt(sim::Duration measured) {
@@ -326,18 +325,16 @@ void TcpConnection::on_rto() {
   timing_ = false;  // Karn: never time retransmitted segments
 
   if (state_ == State::kSynSent) {
-    send_segment(iss_, {}, true, false, false);
+    send_segment(iss_, true, false, false);
   } else if (state_ == State::kSynReceived) {
-    send_segment(iss_, {}, true, false, true);
+    send_segment(iss_, true, false, true);
   } else {
     // Retransmit the first unacked chunk.
     const auto chunk = std::min<std::size_t>(mss_, send_buf_.size());
     if (chunk > 0) {
-      Bytes data(send_buf_.begin(),
-                 send_buf_.begin() + static_cast<long>(chunk));
-      send_segment(snd_una_, data, false, false, true);
+      send_segment(snd_una_, false, false, true, 0, chunk);
     } else if (fin_sent_) {
-      send_segment(snd_nxt_ - 1, {}, false, true, true);
+      send_segment(snd_nxt_ - 1, false, true, true);
     }
   }
   arm_rto();
@@ -376,7 +373,7 @@ void TcpConnection::handle_segment(const TcpHeader& h, crypto::Buffer data) {
       }
       if (h.syn && !h.ack_flag) {
         // Duplicate SYN: re-send SYN-ACK.
-        send_segment(iss_, {}, true, false, true);
+        send_segment(iss_, true, false, true);
         return;
       }
       return;
@@ -404,8 +401,7 @@ void TcpConnection::process_ack(const TcpHeader& h) {
       if (fin_sent_ && h.ack == snd_nxt_) data_acked -= 1;  // FIN slot
     }
     const auto pop = std::min<std::size_t>(data_acked, send_buf_.size());
-    send_buf_.erase(send_buf_.begin(),
-                    send_buf_.begin() + static_cast<long>(pop));
+    send_buf_.consume(pop);
     snd_una_ = h.ack;
     // The cumulative ACK point only advances, and never past what was
     // sent — the guards above enforce it today; the audit keeps future
@@ -428,9 +424,7 @@ void TcpConnection::process_ack(const TcpHeader& h) {
         // Partial ack: retransmit next hole immediately.
         const auto chunk = std::min<std::size_t>(mss_, send_buf_.size());
         if (chunk > 0) {
-          Bytes d(send_buf_.begin(),
-                  send_buf_.begin() + static_cast<long>(chunk));
-          send_segment(snd_una_, d, false, false, true);
+          send_segment(snd_una_, false, false, true, 0, chunk);
           ++retransmissions_;
         }
       }
@@ -472,9 +466,7 @@ void TcpConnection::process_ack(const TcpHeader& h) {
       cwnd_ = ssthresh_ + 3 * static_cast<std::uint32_t>(mss_);
       const auto chunk = std::min<std::size_t>(mss_, send_buf_.size());
       if (chunk > 0) {
-        Bytes d(send_buf_.begin(),
-                send_buf_.begin() + static_cast<long>(chunk));
-        send_segment(snd_una_, d, false, false, true);
+        send_segment(snd_una_, false, false, true, 0, chunk);
         ++retransmissions_;
         timing_ = false;
       }
@@ -650,7 +642,9 @@ void TcpStack::close_listener(std::uint16_t port) { listeners_.erase(port); }
 
 // hipcheck:hot
 void TcpStack::transmit(const Endpoint& local, const Endpoint& remote,
-                        const TcpHeader& header, BytesView data) {
+                        const TcpHeader& header,
+                        const crypto::BufferQueue& data, std::size_t offset,
+                        std::size_t len) {
   Packet pkt;
   pkt.src = local.addr;
   pkt.dst = remote.addr;
@@ -659,11 +653,9 @@ void TcpStack::transmit(const Endpoint& local, const Endpoint& remote,
   // and tailroom for ICV + cipher padding — the whole secure path then
   // works in place on this one allocation.
   crypto::Buffer buf = node_->network().buffer_pool().make(
-      TcpHeader::kSize + data.size(), /*headroom=*/96, /*tailroom=*/32);
+      TcpHeader::kSize + len, /*headroom=*/96, /*tailroom=*/32);
   header.write(buf.data());
-  if (!data.empty()) {
-    std::memcpy(buf.data() + TcpHeader::kSize, data.data(), data.size());
-  }
+  if (len != 0) data.copy_out(offset, len, buf.data() + TcpHeader::kSize);
   pkt.payload = std::move(buf);
   pkt.stamp_l3_overhead();
   node_->send(std::move(pkt));

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -64,9 +63,8 @@ class TcpStack;
 class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
  public:
   using ConnectFn = std::function<void()>;
-  /// Received payload is handed over as a pooled Buffer moved out of the
-  /// packet; callbacks written against crypto::Bytes still work (implicit
-  /// conversion copies at the app boundary).
+  /// Received payload is handed over as the pooled Buffer moved out of
+  /// the packet.
   using DataFn = std::function<void(crypto::Buffer)>;
   using CloseFn = std::function<void()>;
 
@@ -85,8 +83,10 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 
   ~TcpConnection();
 
-  /// Queue application data for transmission.
-  void send(crypto::Bytes data);
+  /// Queue application data for transmission. The buffer itself joins
+  /// the send queue; its bytes are copied once per transmitted segment,
+  /// straight into the segment's packet buffer.
+  void send(crypto::Buffer data);
   /// Half-close: FIN after all queued data drains.
   void close();
   /// Abort with RST.
@@ -133,8 +133,10 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void start_accept(const TcpHeader& syn);
   void handle_segment(const TcpHeader& header, crypto::Buffer data);
   void try_send();
-  void send_segment(std::uint32_t seq, crypto::BytesView data, bool syn,
-                    bool fin, bool ack);
+  /// Transmit one segment carrying `len` bytes of the send queue from
+  /// `offset` (0 for pure control segments).
+  void send_segment(std::uint32_t seq, bool syn, bool fin, bool ack,
+                    std::size_t offset = 0, std::size_t len = 0);
   void send_ack();
   void send_rst();
   void process_ack(const TcpHeader& header);
@@ -160,7 +162,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint32_t snd_una_ = 0;    // oldest unacknowledged
   std::uint32_t snd_nxt_ = 0;    // next to send
   std::uint32_t peer_window_ = 0;
-  std::deque<std::uint8_t> send_buf_;  // bytes from snd_una_ onwards
+  crypto::BufferQueue send_buf_;  // bytes from snd_una_ onwards
   bool fin_queued_ = false;
   bool fin_sent_ = false;
 
@@ -236,8 +238,11 @@ class TcpStack {
   };
 
   void on_packet(Packet&& pkt);
+  /// Send one segment whose payload is `len` bytes of `data` from
+  /// `offset`, copied straight into the pooled packet buffer.
   void transmit(const Endpoint& local, const Endpoint& remote,
-                const TcpHeader& header, crypto::BytesView data);
+                const TcpHeader& header, const crypto::BufferQueue& data,
+                std::size_t offset, std::size_t len);
   void remove(TcpConnection* conn);
   std::uint16_t ephemeral_port();
   std::uint32_t random_isn();

@@ -64,7 +64,8 @@ TlsSession::TlsSession(std::shared_ptr<net::TcpConnection> conn,
 
 void TlsSession::start() {
   auto self = shared_from_this();
-  conn_->on_data([self](Bytes chunk) { self->on_tcp_data(std::move(chunk)); });
+  conn_->on_data(
+      [self](crypto::Buffer chunk) { self->on_tcp_data(std::move(chunk)); });
   conn_->on_close([self] {
     if (self->state_ != State::kClosed) {
       self->state_ = State::kClosed;
@@ -94,7 +95,7 @@ void TlsSession::start() {
   }
 }
 
-void TlsSession::send(Bytes data) {
+void TlsSession::send(crypto::Buffer data) {
   if (state_ == State::kEstablished) {
     charge(config_.costs.tls_record_cycles(data.size()),
            [self = shared_from_this(), d = std::move(data)] {
@@ -109,7 +110,8 @@ void TlsSession::send(Bytes data) {
 
 void TlsSession::close() {
   if (state_ == State::kEstablished) {
-    send_record(kRecordAlert, Bytes{0}, /*encrypted=*/true);
+    const std::uint8_t close_notify = 0;
+    send_record(kRecordAlert, BytesView(&close_notify, 1), /*encrypted=*/true);
   }
   state_ = State::kClosed;
   conn_->close();
@@ -125,57 +127,67 @@ void TlsSession::fail(const char* reason) {
 
 void TlsSession::send_record(std::uint8_t type, BytesView body,
                              bool encrypted) {
-  // Single-buffer record build: header, body encrypted in place (nonce from
-  // the record sequence number), then the streamed MAC over
-  // type|seq|ciphertext — no payload/mac_input temporaries.
-  Bytes record;
-  record.reserve(4 + body.size() + (encrypted ? kMacLen : 0));
-  record.push_back(type);
-  crypto::append_be(record, body.size() + (encrypted ? kMacLen : 0), 3);
-  record.insert(record.end(), body.begin(), body.end());
+  // The sealed record joins TCP's send queue as it is.
+  conn_->send(seal(type, body, encrypted));
+}
+
+crypto::Buffer TlsSession::seal(std::uint8_t type, BytesView body,
+                                bool encrypted) {
+  // Single-buffer record build: header, body encrypted in place (nonce
+  // from the record sequence number), then the streamed MAC over
+  // type|seq|ciphertext.
+  const std::size_t len = body.size() + (encrypted ? kMacLen : 0);
+  crypto::Buffer record = node_->network().buffer_pool().make(4 + len);
+  std::uint8_t* p = record.data();
+  p[0] = type;
+  p[1] = static_cast<std::uint8_t>(len >> 16);
+  p[2] = static_cast<std::uint8_t>(len >> 8);
+  p[3] = static_cast<std::uint8_t>(len);
+  if (!body.empty()) std::memcpy(p + 4, body.data(), body.size());
   if (encrypted) {
     std::uint8_t seq_be[8];
     store_be64(seq_be, seq_out_);
     std::uint8_t nonce[12] = {};
     std::memcpy(nonce + 4, seq_be, 8);
-    enc_out_->ctr_xor(nonce, 1, record.data() + 4, body.size());
+    enc_out_->ctr_xor(nonce, 1, p + 4, body.size());
     mac_out_->reset();
     mac_out_->update(BytesView(&type, 1));
     mac_out_->update(BytesView(seq_be, 8));
-    mac_out_->update(BytesView(record.data() + 4, body.size()));
+    mac_out_->update(BytesView(p + 4, body.size()));
     std::uint8_t mac[crypto::HmacSha256::kDigestSize];
     mac_out_->finish(mac);
-    record.insert(record.end(), mac, mac + kMacLen);
+    std::memcpy(p + 4 + body.size(), mac, kMacLen);
     ++seq_out_;
   }
-  conn_->send(std::move(record));
+  return record;
 }
 
 // hipcheck:wire_input
-void TlsSession::on_tcp_data(Bytes chunk) {
-  recv_buf_.insert(recv_buf_.end(), chunk.begin(), chunk.end());
+void TlsSession::on_tcp_data(crypto::Buffer chunk) {
+  recv_.append(std::move(chunk));
   pump();
 }
 
 void TlsSession::pump() {
   while (!paused_) {
-    wire::Reader r(recv_buf_);
+    // The 4-byte header may straddle TCP segments; peek a copy of it.
+    std::uint8_t header[4];
+    if (recv_.size() < sizeof header) return;  // incomplete record header
+    recv_.copy_out(0, sizeof header, header);
+    wire::Reader r(BytesView(header, sizeof header));
     const auto type = r.u8();
     const auto len = r.u24be();
-    if (!type || !len) return;  // incomplete record header
+    if (!type || !len) return;
     if (*len > kMaxRecordLen) return fail("oversized record");
-    const auto body_view = r.bytes(*len);
-    if (!body_view) return;  // body not fully arrived yet
-    Bytes body(body_view->begin(), body_view->end());
-    recv_buf_.erase(recv_buf_.begin(),
-                    recv_buf_.begin() + 4 + static_cast<long>(*len));
-    process_record(*type, std::move(body));
+    if (recv_.size() - sizeof header < *len) return;  // body still arriving
+    recv_.consume(sizeof header);
+    process_record(*type, recv_.take(*len));
     if (state_ == State::kError || state_ == State::kClosed) return;
   }
 }
 
 // hipcheck:wire_input
-void TlsSession::process_record(std::uint8_t type, Bytes body) {
+void TlsSession::process_record(std::uint8_t type, crypto::Buffer body) {
   const bool encrypted_phase =
       enc_in_.has_value() &&
       (type == kRecordApplication || type == kRecordAlert ||
@@ -191,11 +203,11 @@ void TlsSession::process_record(std::uint8_t type, Bytes body) {
     mac_in_->update(BytesView(body.data(), ct_len));
     std::uint8_t expected[crypto::HmacSha256::kDigestSize];
     mac_in_->finish(expected);
-    if (!crypto::ct_equal(BytesView(body).subspan(ct_len),
+    if (!crypto::ct_equal(body.view().subspan(ct_len),
                           BytesView(expected, kMacLen))) {
       return fail("bad record MAC");
     }
-    body.resize(ct_len);
+    body.pop_back(kMacLen);
     std::uint8_t nonce[12] = {};
     std::memcpy(nonce + 4, seq_be, 8);
     enc_in_->ctr_xor(nonce, 1, body.data(), ct_len);
@@ -204,7 +216,7 @@ void TlsSession::process_record(std::uint8_t type, Bytes body) {
 
   switch (type) {
     case kRecordHandshake:
-      handle_handshake(std::move(body));
+      handle_handshake(body.view());
       break;
     case kRecordApplication: {
       if (state_ != State::kEstablished) return fail("early app data");
@@ -261,15 +273,13 @@ void TlsSession::finish_handshake() {
   state_ = State::kEstablished;
   handshake_latency_ = node_->network().loop().now() - handshake_start_;
   if (on_established_) on_established_();
-  while (!pending_sends_.empty()) {
-    Bytes data = std::move(pending_sends_.front());
-    pending_sends_.pop_front();
-    send(std::move(data));
-  }
+  std::vector<crypto::Buffer> pending = std::move(pending_sends_);
+  pending_sends_.clear();
+  for (crypto::Buffer& data : pending) send(std::move(data));
 }
 
 // hipcheck:wire_input
-void TlsSession::handle_handshake(Bytes body) {
+void TlsSession::handle_handshake(BytesView body) {
   wire::Reader r(body);
   const auto msg_type = r.u8();
   if (!msg_type) return fail("empty handshake");

@@ -3,6 +3,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "crypto/aes.hpp"
 #include "crypto/cost_model.hpp"
@@ -34,7 +35,8 @@ struct TlsConfig {
 class TlsSession : public std::enable_shared_from_this<TlsSession> {
  public:
   using EstablishedFn = std::function<void()>;
-  using DataFn = std::function<void(crypto::Bytes)>;
+  /// Each decrypted application record, as one Buffer.
+  using DataFn = std::function<void(crypto::Buffer)>;
   using CloseFn = std::function<void()>;
 
   /// Wrap the client side of a connection. Starts the handshake as soon
@@ -48,8 +50,9 @@ class TlsSession : public std::enable_shared_from_this<TlsSession> {
       std::shared_ptr<net::TcpConnection> conn, net::Node* node,
       TlsConfig config, std::uint64_t seed);
 
-  /// Send application data (queued until the handshake completes).
-  void send(crypto::Bytes data);
+  /// Send application data (queued until the handshake completes). Each
+  /// call becomes one record.
+  void send(crypto::Buffer data);
   void close();
 
   void on_established(EstablishedFn fn) { on_established_ = std::move(fn); }
@@ -78,11 +81,15 @@ class TlsSession : public std::enable_shared_from_this<TlsSession> {
   TlsSession(std::shared_ptr<net::TcpConnection> conn, net::Node* node,
              TlsConfig config, bool is_client, std::uint64_t seed);
   void start();
-  void on_tcp_data(crypto::Bytes chunk);
+  void on_tcp_data(crypto::Buffer chunk);
   void pump();
-  void process_record(std::uint8_t type, crypto::Bytes body);
-  void handle_handshake(crypto::Bytes body);
+  void process_record(std::uint8_t type, crypto::Buffer body);
+  void handle_handshake(crypto::BytesView body);
   void send_record(std::uint8_t type, crypto::BytesView body, bool encrypted);
+  /// One record in a pooled block of the exact size: header, body
+  /// (encrypted in place when `encrypted`), then the MAC.
+  crypto::Buffer seal(std::uint8_t type, crypto::BytesView body,
+                      bool encrypted);
   void derive_keys();
   void finish_handshake();
   void fail(const char* reason);
@@ -99,7 +106,8 @@ class TlsSession : public std::enable_shared_from_this<TlsSession> {
   crypto::HmacDrbg drbg_;
   State state_ = State::kWaitTcp;
 
-  crypto::Bytes recv_buf_;
+  /// Received bytes not yet framed into a whole record.
+  crypto::BufferQueue recv_;
   /// Record processing pauses while an async CPU charge is rewriting the
   /// handshake state, so records arriving meanwhile are not misparsed.
   bool paused_ = false;
@@ -118,7 +126,7 @@ class TlsSession : public std::enable_shared_from_this<TlsSession> {
   std::uint64_t seq_out_ = 0;
   std::uint64_t seq_in_ = 0;
 
-  std::deque<crypto::Bytes> pending_sends_;
+  std::vector<crypto::Buffer> pending_sends_;
   sim::Time handshake_start_ = 0;
   sim::Duration handshake_latency_ = 0;
 

@@ -66,8 +66,8 @@ TEST(Cloud, IntraCloudConnectivity) {
   auto* b = ec2.launch("b", InstanceType::small());  // different host
   net::UdpStack ua(a->node()), ub(b->node());
   crypto::Bytes got;
-  ub.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Bytes data) {
-    got = std::move(data);
+  ub.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Buffer data) {
+    got.assign(data.begin(), data.end());
   });
   ua.send(9, Endpoint{IpAddr(b->private_ip()), 7},
           crypto::to_bytes("cross-host"));
@@ -87,7 +87,7 @@ TEST(Cloud, ExternalConnectivityThroughGateway) {
   outside->add_address(0, Ipv4Addr(8, 8, 8, 8));
   net::UdpStack uv(vm->node()), uo(outside);
   Endpoint seen{};
-  uo.bind(53, [&](const Endpoint& from, const IpAddr&, crypto::Bytes) {
+  uo.bind(53, [&](const Endpoint& from, const IpAddr&, crypto::Buffer) {
     seen = from;
   });
   uv.send(9, Endpoint{IpAddr(Ipv4Addr(8, 8, 8, 8)), 53}, crypto::Bytes(4, 0));
@@ -110,7 +110,7 @@ TEST(Cloud, TwoCloudsInterconnect) {
   pub.attach_external(wan, {});
   net::UdpStack ua(a->node()), ub(b->node());
   int got = 0;
-  ub.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Bytes) { ++got; });
+  ub.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Buffer) { ++got; });
   ua.send(9, Endpoint{IpAddr(b->private_ip()), 7}, crypto::Bytes(4, 0));
   net.loop().run();
   EXPECT_EQ(got, 1);
@@ -152,7 +152,7 @@ TEST(Cloud, MigratedVmIsReachableAtNewAddress) {
   auto* peer = ec2.launch("peer", InstanceType::small(), "t", h0);
   net::UdpStack uv(vm->node()), up(peer->node());
   int got = 0;
-  uv.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Bytes) { ++got; });
+  uv.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Buffer) { ++got; });
   Ipv4Addr new_ip;
   ec2.migrate(vm, h1, [&](const Cloud::MigrationReport& r) {
     new_ip = r.new_ip;
@@ -203,7 +203,7 @@ TEST(Vlan, SameVlanPasses) {
   vlan.enforce_on(ec2.fabric());
   net::UdpStack ua(a->node()), ub(b->node());
   int got = 0;
-  ub.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Bytes) { ++got; });
+  ub.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Buffer) { ++got; });
   ua.send(9, Endpoint{IpAddr(b->private_ip()), 7}, crypto::Bytes(4, 0));
   net.loop().run();
   EXPECT_EQ(got, 1);
@@ -223,7 +223,7 @@ TEST(Vlan, CrossVlanBlocked) {
   vlan.enforce_on(ec2.fabric());
   net::UdpStack ua(a->node()), ub(b->node());
   int got = 0;
-  ub.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Bytes) { ++got; });
+  ub.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Buffer) { ++got; });
   ua.send(9, Endpoint{IpAddr(b->private_ip()), 7}, crypto::Bytes(4, 0));
   net.loop().run();
   EXPECT_EQ(got, 0);

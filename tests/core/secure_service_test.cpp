@@ -102,7 +102,7 @@ TEST(SecureService, EavesdropperOnFabricSeesNoPlaintextInHipMode) {
   std::vector<crypto::Bytes> captured;
   bed.cloud().fabric()->set_forward_hook(
       [&](net::Packet& pkt, std::size_t) {
-        captured.push_back(pkt.payload);
+        captured.emplace_back(pkt.payload.begin(), pkt.payload.end());
         return true;
       });
   (void)bed.run_closed_loop(2, 5 * sim::kSecond);
@@ -124,7 +124,7 @@ TEST(SecureService, BasicModeLeaksPlaintextOnFabric) {
   std::vector<crypto::Bytes> captured;
   bed.cloud().fabric()->set_forward_hook(
       [&](net::Packet& pkt, std::size_t) {
-        captured.push_back(pkt.payload);
+        captured.emplace_back(pkt.payload.begin(), pkt.payload.end());
         return true;
       });
   (void)bed.run_closed_loop(2, 5 * sim::kSecond);

@@ -185,7 +185,7 @@ TEST(Buffer, ConversionsAndEquality) {
   EXPECT_EQ(a.tailroom(), 8u);
   Buffer b{src};
   EXPECT_EQ(a, b);  // equality compares windows, not room layout
-  const Bytes round_trip = a;  // copying conversion
+  const Bytes round_trip(a.begin(), a.end());  // explicit copy
   EXPECT_EQ(round_trip, src);
   const BytesView v = a;  // free conversion
   EXPECT_EQ(v.data(), a.data());
@@ -205,6 +205,121 @@ TEST(Buffer, MoveTransfersBlockCopyDuplicates) {
   EXPECT_NE(copied.data(), moved.data());
   EXPECT_EQ(copied, moved);
   EXPECT_EQ(pool.cached_blocks(), 0u);  // both still live
+}
+
+// ---------------------------------------------------------------------------
+// BufferQueue
+
+Bytes drain_bytes(BufferQueue& q) {
+  Bytes out(q.size());
+  if (!out.empty()) q.copy_out(0, out.size(), out.data());
+  return out;
+}
+
+TEST(BufferQueue, TakeAndConsumeAcrossSegmentBoundaries) {
+  BufferPool pool;
+  const Bytes stream = pattern(100, 1);
+  BufferQueue q;
+  // Segments of 10, 30, 25 and 35 bytes.
+  std::size_t off = 0;
+  for (const std::size_t n : {10u, 30u, 25u, 35u}) {
+    q.append(pool.copy(BytesView(stream).subspan(off, n)));
+    off += n;
+  }
+  q.append(Buffer());  // empty appends are ignored
+  ASSERT_EQ(q.size(), 100u);
+  ASSERT_EQ(q.segments(), 4u);
+
+  std::uint8_t peek[20];
+  q.copy_out(5, sizeof peek, peek);  // spans the first two segments
+  EXPECT_TRUE(std::equal(peek, peek + sizeof peek, stream.begin() + 5));
+
+  q.consume(4);  // inside the first segment
+  const Buffer a = q.take(16);  // 6 from segment 1, 10 from segment 2
+  EXPECT_TRUE(same_bytes(a, Bytes(stream.begin() + 4, stream.begin() + 20)));
+  q.consume(30);  // the rest of segment 2 and 10 bytes of segment 3
+  EXPECT_EQ(q.size(), 50u);
+  const Buffer b = q.take(50);  // the tail of segment 3 plus all of 4
+  EXPECT_TRUE(same_bytes(b, Bytes(stream.begin() + 50, stream.end())));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.segments(), 0u);
+  EXPECT_TRUE(q.take(0).empty());
+}
+
+TEST(BufferQueue, WholeSegmentTakeCopiesNothing) {
+  BufferPool pool;
+  sim::PerfCounters perf;
+  pool.set_perf(&perf);
+  BufferQueue q;
+  const Bytes tail = pattern(32, 9);
+  Buffer first = pool.copy(pattern(64, 3));
+  Buffer second = pool.copy(tail);
+  const std::uint8_t* first_data = first.data();
+  const std::uint8_t* second_data = second.data();
+  q.append(std::move(first));
+  q.append(std::move(second));
+  const std::uint64_t copied = perf.payload_bytes_copied;
+
+  const Buffer a = q.take(64);
+  EXPECT_EQ(a.data(), first_data);  // the segment itself, not a copy
+  q.consume(2);
+  const Buffer b = q.take(30);  // what is left of the head segment
+  EXPECT_EQ(b.data(), second_data + 2);
+  EXPECT_EQ(perf.payload_bytes_copied, copied);
+  EXPECT_TRUE(same_bytes(b, Bytes(tail.begin() + 2, tail.end())));
+}
+
+TEST(BufferQueue, PartialTakeCopiesOnceIntoThePool) {
+  BufferPool pool;
+  sim::PerfCounters perf;
+  pool.set_perf(&perf);
+  BufferQueue q;
+  for (int i = 0; i < 3; ++i) q.append(pool.copy(pattern(40, 7)));
+  const std::uint64_t copied = perf.payload_bytes_copied;
+  const Buffer out = q.take(100);  // spans three segments
+  EXPECT_EQ(perf.payload_bytes_copied, copied + 100);
+  EXPECT_EQ(out.size(), 100u);
+  EXPECT_EQ(q.size(), 20u);
+}
+
+TEST(BufferQueue, DrainedQueueHoldsNoBlock) {
+  BufferPool pool;
+  BufferQueue q;
+  for (int i = 0; i < 8; ++i) q.append(pool.make(100));
+  EXPECT_EQ(pool.cached_blocks(), 0u);
+  q.consume(250);  // two whole segments and half of the third go back
+  EXPECT_EQ(pool.cached_blocks(), 2u);
+  const Buffer rest = q.take(q.size() - 50);
+  q.consume(50);
+  EXPECT_TRUE(q.empty());
+  // All eight segment blocks are back on the freelist; `rest` holds a
+  // ninth, larger block of its own.
+  EXPECT_EQ(pool.cached_blocks(), 8u);
+  EXPECT_EQ(rest.size(), 500u);
+}
+
+TEST(BufferQueue, LongRunningStreamKeepsOrder) {
+  // A queue that never drains (a bulk sender with unacked data) stays
+  // correct across the compaction of its segment array.
+  BufferPool pool;
+  BufferQueue q;
+  std::uint8_t next_in = 0;
+  std::uint8_t next_out = 0;
+  for (int round = 0; round < 200; ++round) {
+    Buffer seg = pool.make(13);
+    for (std::uint8_t& x : seg) x = next_in++;
+    q.append(std::move(seg));
+    if (round % 3 != 0) {
+      const Bytes got = [&] {
+        Buffer b = q.take(11);
+        return Bytes(b.begin(), b.end());
+      }();
+      for (const std::uint8_t x : got) EXPECT_EQ(x, next_out++);
+    }
+  }
+  const Bytes rest = drain_bytes(q);
+  for (const std::uint8_t x : rest) EXPECT_EQ(x, next_out++);
+  EXPECT_EQ(next_out, next_in);
 }
 
 }  // namespace

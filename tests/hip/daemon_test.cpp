@@ -74,9 +74,9 @@ TEST(HipDaemon, UdpOverHits) {
   net::UdpStack ua(topo.a), ub(topo.b);
   Bytes received;
   Endpoint from{};
-  ub.bind(7777, [&](const Endpoint& src, const IpAddr&, Bytes data) {
+  ub.bind(7777, [&](const Endpoint& src, const IpAddr&, crypto::Buffer data) {
     from = src;
-    received = std::move(data);
+    received.assign(data.begin(), data.end());
   });
   // Sending to the HIT lazily triggers the BEX, then data flows via ESP.
   ua.send(5555, Endpoint{IpAddr(topo.hb->hit()), 7777},
@@ -95,9 +95,9 @@ TEST(HipDaemon, UdpOverLsis) {
   EXPECT_TRUE(peer_lsi.is_lsi());
   Bytes received;
   Endpoint from{};
-  ub.bind(7777, [&](const Endpoint& src, const IpAddr&, Bytes data) {
+  ub.bind(7777, [&](const Endpoint& src, const IpAddr&, crypto::Buffer data) {
     from = src;
-    received = std::move(data);
+    received.assign(data.begin(), data.end());
   });
   ua.send(5555, Endpoint{IpAddr(peer_lsi), 7777},
           crypto::to_bytes("ipv4 app over hip"));
@@ -112,14 +112,14 @@ TEST(HipDaemon, TcpOverHits) {
   net::TcpStack ta(topo.a), tb(topo.b);
   Bytes at_server, at_client;
   tb.listen(80, [&](std::shared_ptr<net::TcpConnection> conn) {
-    conn->on_data([&, c = conn.get()](Bytes data) {
+    conn->on_data([&, c = conn.get()](crypto::Buffer data) {
       at_server.insert(at_server.end(), data.begin(), data.end());
       c->send(crypto::to_bytes("response"));
     });
   });
   auto conn = ta.connect(Endpoint{IpAddr(topo.hb->hit()), 80});
   conn->on_connect([&] { conn->send(crypto::to_bytes("request")); });
-  conn->on_data([&](Bytes data) {
+  conn->on_data([&](crypto::Buffer data) {
     at_client.insert(at_client.end(), data.begin(), data.end());
   });
   topo.net.loop().run();
@@ -135,7 +135,7 @@ TEST(HipDaemon, BulkTcpTransferOverHip) {
   constexpr std::size_t kTotal = 200000;
   std::size_t received = 0;
   tb.listen(80, [&](std::shared_ptr<net::TcpConnection> conn) {
-    conn->on_data([&](Bytes data) { received += data.size(); });
+    conn->on_data([&](crypto::Buffer data) { received += data.size(); });
   });
   auto conn = ta.connect(Endpoint{IpAddr(topo.hb->hit()), 80});
   conn->on_connect([&] { conn->send(Bytes(kTotal, 0x7e)); });
@@ -148,11 +148,11 @@ TEST(HipDaemon, EavesdropperSeesOnlyCiphertext) {
   // Tap the router: capture every forwarded packet's payload.
   std::vector<Bytes> captured;
   topo.r->set_forward_hook([&](net::Packet& pkt, std::size_t) {
-    captured.push_back(pkt.payload);
+    captured.emplace_back(pkt.payload.begin(), pkt.payload.end());
     return true;
   });
   net::UdpStack ua(topo.a), ub(topo.b);
-  ub.bind(7777, [](const Endpoint&, const IpAddr&, Bytes) {});
+  ub.bind(7777, [](const Endpoint&, const IpAddr&, crypto::Buffer) {});
   const Bytes secret = crypto::to_bytes("tenant-secret-0123456789-abcdef");
   ua.send(5555, Endpoint{IpAddr(topo.hb->hit()), 7777}, secret);
   topo.net.loop().run();
@@ -258,7 +258,9 @@ TEST(HipDaemon, MobilityLocatorUpdate) {
   HipPair topo;
   net::UdpStack ua(topo.a), ub(topo.b);
   int received = 0;
-  ub.bind(7777, [&](const Endpoint&, const IpAddr&, Bytes) { ++received; });
+  ub.bind(7777, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
+    ++received;
+  });
   ua.send(5555, Endpoint{IpAddr(topo.hb->hit()), 7777}, Bytes(10, 1));
   topo.net.loop().run();
   ASSERT_EQ(received, 1);
@@ -318,7 +320,7 @@ TEST(HipDaemon, SimultaneousInitiationConverges) {
   // And data flows.
   net::UdpStack ua(topo.a), ub(topo.b);
   int got = 0;
-  ub.bind(7, [&](const Endpoint&, const IpAddr&, Bytes) { ++got; });
+  ub.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Buffer) { ++got; });
   ua.send(9, Endpoint{IpAddr(topo.hb->hit()), 7}, Bytes(4, 0));
   topo.net.loop().run();
   EXPECT_EQ(got, 1);

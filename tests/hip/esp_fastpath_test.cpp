@@ -174,7 +174,7 @@ TEST(EspFastPath, ProtectBatchMatchesSeedGoldenVectors) {
     }
     tx.protect_batch(jobs);
     for (std::size_t p = 0; p < payloads.size(); ++p) {
-      EXPECT_EQ(to_hex(Bytes(jobs[p].buf)), kGolden[s][p])
+      EXPECT_EQ(to_hex(jobs[p].buf), kGolden[s][p])
           << esp_suite_name(kSuites[s]) << " pkt " << p;
     }
   }
@@ -193,7 +193,7 @@ TEST(EspFastPath, UnprotectBatchAcceptsGoldenVectors) {
       ASSERT_TRUE(jobs[p].result.has_value())
           << esp_suite_name(kSuites[s]) << " pkt " << p;
       EXPECT_EQ(jobs[p].result->inner_proto, 6);
-      EXPECT_EQ(Bytes(jobs[p].result->payload), payloads[p]);
+      EXPECT_EQ(jobs[p].result->payload, payloads[p]);
       EXPECT_EQ(jobs[p].result->seq, p + 1);
     }
   }
@@ -226,7 +226,7 @@ TEST(EspFastPath, BatchSizesAroundLaneWidthMatchSequential) {
         batch_tx.protect_batch(jobs);
         for (std::size_t i = 0; i < n; ++i) {
           const Bytes want = seq_tx.protect(6, EspSa::kModeHit, payloads[i]);
-          EXPECT_EQ(to_hex(Bytes(jobs[i].buf)), to_hex(want))
+          EXPECT_EQ(to_hex(jobs[i].buf), to_hex(want))
               << esp_suite_name(suite) << " cap=" << cap << " batch=" << n
               << " pkt " << i;
         }

@@ -115,8 +115,8 @@ TEST_P(HipConfigSweep, BexAndDataWork) {
 
   net::UdpStack ua(a), ub(b);
   crypto::Bytes got;
-  ub.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Bytes data) {
-    got = std::move(data);
+  ub.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Buffer data) {
+    got.assign(data.begin(), data.end());
   });
   ua.send(9, Endpoint{IpAddr(hb.hit()), 7}, crypto::to_bytes("sweep"));
   net.loop().run();

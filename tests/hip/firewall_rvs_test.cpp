@@ -52,8 +52,8 @@ TEST(HipFirewall, AllowedPairEstablishesAndFlows) {
   topo.firewall->allow_pair(topo.ha->hit(), topo.hb->hit());
   net::UdpStack ua(topo.a), ub(topo.b);
   Bytes got;
-  ub.bind(7, [&](const Endpoint&, const IpAddr&, Bytes data) {
-    got = std::move(data);
+  ub.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Buffer data) {
+    got.assign(data.begin(), data.end());
   });
   ua.send(9, Endpoint{IpAddr(topo.hb->hit()), 7}, crypto::to_bytes("ok"));
   topo.net.loop().run();
@@ -84,7 +84,7 @@ TEST(HipFirewall, PlainTrafficBlockedInWhitelistMode) {
   topo.firewall->allow_pair(topo.ha->hit(), topo.hb->hit());
   net::UdpStack ua(topo.a), ub(topo.b);
   int got = 0;
-  ub.bind(7, [&](const Endpoint&, const IpAddr&, Bytes) { ++got; });
+  ub.bind(7, [&](const Endpoint&, const IpAddr&, crypto::Buffer) { ++got; });
   // Plain UDP to b's raw IP (no HIP): must be dropped by the middlebox.
   ua.send(9, Endpoint{IpAddr(Ipv4Addr(10, 0, 2, 1)), 7}, Bytes(4, 0));
   topo.net.loop().run();

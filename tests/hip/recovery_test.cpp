@@ -100,7 +100,9 @@ TEST(HipRecovery, ProactiveRekeyRollsSasBeforeExhaustion) {
   HipPair topo;
   net::UdpStack ua(topo.a), ub(topo.b);
   int received = 0;
-  ub.bind(7777, [&](const Endpoint&, const IpAddr&, Bytes) { ++received; });
+  ub.bind(7777, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
+    ++received;
+  });
   topo.establish();
 
   // Pretend the outbound SA has nearly spent its 32-bit space: the next
@@ -116,7 +118,9 @@ TEST(HipRecovery, ProactiveRekeyRollsSasBeforeExhaustion) {
 
   // Both directions keep flowing on the fresh SAs.
   int back = 0;
-  ua.bind(8888, [&](const Endpoint&, const IpAddr&, Bytes) { ++back; });
+  ua.bind(8888, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
+    ++back;
+  });
   ua.send(5555, Endpoint{IpAddr(topo.hb->hit()), 7777}, Bytes(10, 2));
   ub.send(6666, Endpoint{IpAddr(topo.ha->hit()), 8888}, Bytes(10, 3));
   topo.net.loop().run(topo.net.loop().now() + 5 * sim::kSecond);
@@ -131,7 +135,9 @@ TEST(HipRecovery, ExhaustionForcesRekeyEvenWhenProactiveDisabled) {
   HipPair topo(cfg, cfg);
   net::UdpStack ua(topo.a), ub(topo.b);
   int received = 0;
-  ub.bind(7777, [&](const Endpoint&, const IpAddr&, Bytes) { ++received; });
+  ub.bind(7777, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
+    ++received;
+  });
   topo.establish();
 
   // Spend the final sequence number, then hit the exhausted SA.
@@ -160,7 +166,9 @@ TEST(HipRecovery, KeepaliveDeclaresDeadPeerAndReBexRecovers) {
   HipPair topo(cfg_a, HipConfig{});
   net::UdpStack ua(topo.a), ub(topo.b);
   int received = 0;
-  ub.bind(7777, [&](const Endpoint&, const IpAddr&, Bytes) { ++received; });
+  ub.bind(7777, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
+    ++received;
+  });
   topo.establish();
 
   // Peer crashes: every probe goes unanswered.
@@ -186,7 +194,9 @@ TEST(HipRecovery, AddressChangeTriggersReaddressingWithoutManualMoveTo) {
   HipPair topo;
   net::UdpStack ua(topo.a), ub(topo.b);
   int received = 0;
-  ub.bind(7777, [&](const Endpoint&, const IpAddr&, Bytes) { ++received; });
+  ub.bind(7777, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
+    ++received;
+  });
   ua.send(5555, Endpoint{IpAddr(topo.hb->hit()), 7777}, Bytes(10, 1));
   topo.net.loop().run();
   ASSERT_EQ(received, 1);

@@ -85,9 +85,11 @@ TEST(UdpEncap, ResponderLearnsNatMapping) {
   // locator, never the private 192.168.7.2.
   // (Observable through successful two-way traffic below.)
   int got = 0;
-  topo.ur->bind(7, [&](const Endpoint&, const IpAddr&, Bytes) { ++got; });
+  topo.ur->bind(7, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
+    ++got;
+  });
   net::UdpStack* app_stack = topo.ui.get();
-  app_stack->bind(9, [](const Endpoint&, const IpAddr&, Bytes) {});
+  app_stack->bind(9, [](const Endpoint&, const IpAddr&, crypto::Buffer) {});
   app_stack->send(9, Endpoint{IpAddr(topo.hr->hit()), 7}, Bytes(32, 1));
   topo.net.loop().run();
   EXPECT_EQ(got, 1);
@@ -96,11 +98,11 @@ TEST(UdpEncap, ResponderLearnsNatMapping) {
 TEST(UdpEncap, EspDataFlowsBothWays) {
   NattedHipTopo topo;
   int at_responder = 0, at_initiator = 0;
-  topo.ur->bind(7, [&](const Endpoint& from, const IpAddr&, Bytes) {
+  topo.ur->bind(7, [&](const Endpoint& from, const IpAddr&, crypto::Buffer) {
     ++at_responder;
     topo.ur->send(7, from, crypto::to_bytes("pong"));
   });
-  topo.ui->bind(9, [&](const Endpoint&, const IpAddr&, Bytes) {
+  topo.ui->bind(9, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
     ++at_initiator;
   });
   for (int i = 0; i < 5; ++i) {
@@ -116,7 +118,7 @@ TEST(UdpEncap, TcpOverEncapsulatedHip) {
   net::TcpStack ti(topo.initiator), tr(topo.responder);
   std::size_t received = 0;
   tr.listen(80, [&](std::shared_ptr<net::TcpConnection> conn) {
-    conn->on_data([&](Bytes data) { received += data.size(); });
+    conn->on_data([&](crypto::Buffer data) { received += data.size(); });
   });
   auto conn = ti.connect(Endpoint{IpAddr(topo.hr->hit()), 80});
   conn->on_connect([&] { conn->send(Bytes(50000, 0x42)); });
@@ -140,7 +142,9 @@ TEST(UdpEncap, NonTunnelledTrafficUnaffected) {
   NattedHipTopo topo;
   // Plain UDP from responder to its own subnet is not intercepted.
   int got = 0;
-  topo.ur->bind(70, [&](const Endpoint&, const IpAddr&, Bytes) { ++got; });
+  topo.ur->bind(70, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
+    ++got;
+  });
   topo.ur->send(71, Endpoint{IpAddr(Ipv4Addr(9, 0, 0, 10)), 70},
                 Bytes(4, 0));
   topo.net.loop().run();

@@ -149,7 +149,7 @@ TEST(MigrationIntegration, TcpStreamSurvivesMigration) {
   net::TcpStack ts(server_vm->node()), tc(client_vm->node());
   std::size_t received = 0;
   ts.listen(80, [&](std::shared_ptr<net::TcpConnection> conn) {
-    conn->on_data([&](crypto::Bytes data) { received += data.size(); });
+    conn->on_data([&](crypto::Buffer data) { received += data.size(); });
   });
   auto conn = tc.connect(Endpoint{IpAddr(hs.hit()), 80});
   // Drip-feed data across the migration window.
@@ -198,16 +198,16 @@ TEST(TenantIsolation, RivalCannotReachProtectedService) {
 
   net::UdpStack us(svc->node()), uf(friendly->node()), ur(rival->node());
   int svc_hits = 0;
-  us.bind(7, [&](const Endpoint& from, const IpAddr&, crypto::Bytes) {
+  us.bind(7, [&](const Endpoint& from, const IpAddr&, crypto::Buffer) {
     ++svc_hits;
     us.send(7, from, crypto::to_bytes("secret"));
   });
 
   int friend_got = 0, rival_got = 0;
-  uf.bind(9, [&](const Endpoint&, const IpAddr&, crypto::Bytes) {
+  uf.bind(9, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
     ++friend_got;
   });
-  ur.bind(9, [&](const Endpoint&, const IpAddr&, crypto::Bytes) {
+  ur.bind(9, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
     ++rival_got;
   });
 

@@ -41,7 +41,7 @@ TEST(Nat, UdpOutboundIsTranslated) {
   NattedTopo topo;
   UdpStack uc(topo.client), us(topo.server);
   Endpoint seen_src{};
-  us.bind(5353, [&](const Endpoint& from, const IpAddr&, crypto::Bytes) {
+  us.bind(5353, [&](const Endpoint& from, const IpAddr&, crypto::Buffer) {
     seen_src = from;
   });
   uc.send(4000, Endpoint{IpAddr(Ipv4Addr(8, 0, 0, 10)), 5353},
@@ -56,10 +56,10 @@ TEST(Nat, UdpReplyComesBackThroughMapping) {
   NattedTopo topo;
   UdpStack uc(topo.client), us(topo.server);
   crypto::Bytes client_got;
-  uc.bind(4000, [&](const Endpoint&, const IpAddr&, crypto::Bytes data) {
-    client_got = std::move(data);
+  uc.bind(4000, [&](const Endpoint&, const IpAddr&, crypto::Buffer data) {
+    client_got.assign(data.begin(), data.end());
   });
-  us.bind(5353, [&](const Endpoint& from, const IpAddr&, crypto::Bytes) {
+  us.bind(5353, [&](const Endpoint& from, const IpAddr&, crypto::Buffer) {
     us.send(5353, from, crypto::to_bytes("reply"));
   });
   uc.send(4000, Endpoint{IpAddr(Ipv4Addr(8, 0, 0, 10)), 5353},
@@ -72,7 +72,7 @@ TEST(Nat, MappingIsStableAcrossDatagrams) {
   NattedTopo topo;
   UdpStack uc(topo.client), us(topo.server);
   std::vector<std::uint16_t> seen_ports;
-  us.bind(5353, [&](const Endpoint& from, const IpAddr&, crypto::Bytes) {
+  us.bind(5353, [&](const Endpoint& from, const IpAddr&, crypto::Buffer) {
     seen_ports.push_back(from.port);
   });
   for (int i = 0; i < 3; ++i) {
@@ -90,7 +90,7 @@ TEST(Nat, DistinctInsidePortsGetDistinctMappings) {
   NattedTopo topo;
   UdpStack uc(topo.client), us(topo.server);
   std::vector<std::uint16_t> seen_ports;
-  us.bind(5353, [&](const Endpoint& from, const IpAddr&, crypto::Bytes) {
+  us.bind(5353, [&](const Endpoint& from, const IpAddr&, crypto::Buffer) {
     seen_ports.push_back(from.port);
   });
   uc.send(4000, Endpoint{IpAddr(Ipv4Addr(8, 0, 0, 10)), 5353},
@@ -107,7 +107,7 @@ TEST(Nat, UnsolicitedInboundIsDropped) {
   NattedTopo topo;
   UdpStack uc(topo.client), us(topo.server);
   int client_got = 0;
-  uc.bind(4000, [&](const Endpoint&, const IpAddr&, crypto::Bytes) {
+  uc.bind(4000, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
     ++client_got;
   });
   // Server fires at the NAT's public address with no mapping existing.
@@ -122,14 +122,16 @@ TEST(Nat, TcpThroughNat) {
   TcpStack tc(topo.client), ts(topo.server);
   crypto::Bytes at_server, at_client;
   ts.listen(80, [&](std::shared_ptr<TcpConnection> conn) {
-    conn->on_data([&, c = conn.get()](crypto::Bytes data) {
-      at_server = std::move(data);
+    conn->on_data([&, c = conn.get()](crypto::Buffer data) {
+      at_server.assign(data.begin(), data.end());
       c->send(crypto::to_bytes("OK"));
     });
   });
   auto conn = tc.connect(Endpoint{IpAddr(Ipv4Addr(8, 0, 0, 10)), 80});
   conn->on_connect([&] { conn->send(crypto::to_bytes("GET /")); });
-  conn->on_data([&](crypto::Bytes data) { at_client = std::move(data); });
+  conn->on_data([&](crypto::Buffer data) {
+    at_client.assign(data.begin(), data.end());
+  });
   topo.net.loop().run();
   EXPECT_EQ(at_server, crypto::to_bytes("GET /"));
   EXPECT_EQ(at_client, crypto::to_bytes("OK"));

@@ -15,9 +15,9 @@ TEST(NodeLink, UdpDatagramArrives) {
   UdpStack ua(topo.a), ub(topo.b);
   crypto::Bytes received;
   Endpoint from{};
-  ub.bind(7000, [&](const Endpoint& src, const IpAddr&, crypto::Bytes data) {
+  ub.bind(7000, [&](const Endpoint& src, const IpAddr&, crypto::Buffer data) {
     from = src;
-    received = std::move(data);
+    received.assign(data.begin(), data.end());
   });
   ua.send(5000, Endpoint{IpAddr(Ipv4Addr(10, 0, 0, 2)), 7000},
           crypto::to_bytes("hello"));
@@ -34,7 +34,7 @@ TEST(NodeLink, LatencyIsCharged) {
   TwoHosts topo(link);
   UdpStack ua(topo.a), ub(topo.b);
   sim::Time arrival = -1;
-  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Bytes) {
+  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
     arrival = topo.net.loop().now();
   });
   ua.send(5000, Endpoint{IpAddr(Ipv4Addr(10, 0, 0, 2)), 7000},
@@ -51,7 +51,7 @@ TEST(NodeLink, SerializationDelayScalesWithSize) {
   TwoHosts topo(link);
   UdpStack ua(topo.a), ub(topo.b);
   sim::Time arrival = -1;
-  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Bytes) {
+  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
     arrival = topo.net.loop().now();
   });
   // 972 data + 8 UDP + 20 IP = 1000 bytes => 1000 us on the wire.
@@ -68,7 +68,7 @@ TEST(NodeLink, QueueOverflowDrops) {
   TwoHosts topo(link);
   UdpStack ua(topo.a), ub(topo.b);
   int received = 0;
-  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Bytes) {
+  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
     ++received;
   });
   // Each packet takes 1000us to serialize; sending 5 back-to-back can
@@ -88,7 +88,7 @@ TEST(NodeLink, RandomLossDropsSomePackets) {
   TwoHosts topo(link, /*seed=*/7);
   UdpStack ua(topo.a), ub(topo.b);
   int received = 0;
-  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Bytes) {
+  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
     ++received;
   });
   for (int i = 0; i < 100; ++i) {
@@ -106,7 +106,7 @@ TEST(NodeLink, MtuViolationDrops) {
   TwoHosts topo;
   UdpStack ua(topo.a), ub(topo.b);
   int received = 0;
-  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Bytes) {
+  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
     ++received;
   });
   ua.send(5000, Endpoint{IpAddr(Ipv4Addr(10, 0, 0, 2)), 7000},
@@ -119,8 +119,8 @@ TEST(NodeLink, RoutingThroughRouter) {
   RoutedPair topo;
   UdpStack ua(topo.a), ub(topo.b);
   crypto::Bytes received;
-  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Bytes data) {
-    received = std::move(data);
+  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Buffer data) {
+    received.assign(data.begin(), data.end());
   });
   ua.send(5000, Endpoint{IpAddr(Ipv4Addr(10, 0, 2, 1)), 7000},
           crypto::to_bytes("via router"));
@@ -134,7 +134,7 @@ TEST(NodeLink, NonForwardingNodeDropsTransit) {
   topo.r->set_forwarding(false);
   UdpStack ua(topo.a), ub(topo.b);
   int received = 0;
-  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Bytes) {
+  ub.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Buffer) {
     ++received;
   });
   ua.send(5000, Endpoint{IpAddr(Ipv4Addr(10, 0, 2, 1)), 7000},
@@ -159,8 +159,8 @@ TEST(NodeLink, LoopbackDelivery) {
   TwoHosts topo;
   UdpStack ua(topo.a);
   crypto::Bytes received;
-  ua.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Bytes data) {
-    received = std::move(data);
+  ua.bind(7000, [&](const Endpoint&, const IpAddr&, crypto::Buffer data) {
+    received.assign(data.begin(), data.end());
   });
   ua.send(5000, Endpoint{IpAddr(Ipv4Addr(10, 0, 0, 1)), 7000},
           crypto::to_bytes("self"));

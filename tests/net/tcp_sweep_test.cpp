@@ -37,7 +37,7 @@ TEST_P(TcpSweep, TransferCompletesAndRespectsEnvelope) {
   std::uint64_t checksum = 0, expected_checksum = 0;
   sim::Time last_arrival = 0;
   sb.listen(80, [&](std::shared_ptr<TcpConnection> conn) {
-    conn->on_data([&](Bytes data) {
+    conn->on_data([&](crypto::Buffer data) {
       for (const std::uint8_t b : data) checksum += b;
       received += data.size();
       last_arrival = topo.net.loop().now();
@@ -103,7 +103,7 @@ TEST(TcpBidirectional, SimultaneousTransfers) {
   sb.listen(80, [&](std::shared_ptr<TcpConnection> conn) {
     // hipcheck:allow(self-capture): TcpStack::drop_handlers breaks the cycle at teardown
     conn->on_connect([conn] { /* wait for data */ });
-    conn->on_data([&, c = conn.get()](Bytes data) {
+    conn->on_data([&, c = conn.get()](crypto::Buffer data) {
       b_received += data.size();
       static bool sent = false;
       if (!sent) {
@@ -114,7 +114,7 @@ TEST(TcpBidirectional, SimultaneousTransfers) {
   });
   auto client = sa.connect(Endpoint{IpAddr(Ipv4Addr(10, 0, 0, 2)), 80});
   client->on_connect([&] { client->send(Bytes(kTotal, 0x11)); });
-  client->on_data([&](Bytes data) { a_received += data.size(); });
+  client->on_data([&](crypto::Buffer data) { a_received += data.size(); });
   topo.net.loop().run(120 * sim::kSecond);
   EXPECT_EQ(b_received, kTotal);
   EXPECT_EQ(a_received, kTotal);
@@ -128,7 +128,8 @@ TEST(TcpChurn, SequentialConnectionsAreClean) {
   int accepted = 0;
   sb.listen(80, [&](std::shared_ptr<TcpConnection> conn) {
     ++accepted;
-    conn->on_data([c = conn.get()](Bytes data) { c->send(std::move(data)); });
+    conn->on_data(
+        [c = conn.get()](crypto::Buffer echo) { c->send(std::move(echo)); });
   });
   int completed = 0;
   std::function<void(int)> run_one = [&](int remaining) {
@@ -139,7 +140,7 @@ TEST(TcpChurn, SequentialConnectionsAreClean) {
       conn->send(crypto::to_bytes("x" + std::to_string(remaining)));
     });
     // hipcheck:allow(self-capture): conn->close() below drops handlers, breaking the cycle
-    conn->on_data([&, conn, remaining](Bytes data) {
+    conn->on_data([&, conn, remaining](crypto::Buffer data) {
       EXPECT_EQ(data, crypto::to_bytes("x" + std::to_string(remaining)));
       ++completed;
       conn->close();

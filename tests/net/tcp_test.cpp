@@ -76,14 +76,14 @@ TEST(Tcp, SmallDataBothDirections) {
   TcpStack sa(topo.a), sb(topo.b);
   Bytes at_server, at_client;
   sb.listen(kPort, [&](std::shared_ptr<TcpConnection> conn) {
-    conn->on_data([&, c = conn.get()](Bytes data) {
+    conn->on_data([&, c = conn.get()](crypto::Buffer data) {
       at_server.insert(at_server.end(), data.begin(), data.end());
       c->send(crypto::to_bytes("pong"));
     });
   });
   auto client = sa.connect(Endpoint{kAddrB, kPort});
   client->on_connect([&] { client->send(crypto::to_bytes("ping")); });
-  client->on_data([&](Bytes data) {
+  client->on_data([&](crypto::Buffer data) {
     at_client.insert(at_client.end(), data.begin(), data.end());
   });
   topo.net.loop().run();
@@ -99,7 +99,7 @@ TEST(Tcp, LargeTransferIsComplete) {
   std::uint8_t expected = 0;
   bool corrupt = false;
   sb.listen(kPort, [&](std::shared_ptr<TcpConnection> conn) {
-    conn->on_data([&](Bytes data) {
+    conn->on_data([&](crypto::Buffer data) {
       for (std::uint8_t b : data) {
         if (b != expected++) corrupt = true;
       }
@@ -126,7 +126,7 @@ TEST(Tcp, TransferSurvivesLoss) {
   constexpr std::size_t kTotal = 100000;
   std::size_t received = 0;
   sb.listen(kPort, [&](std::shared_ptr<TcpConnection> conn) {
-    conn->on_data([&](Bytes data) { received += data.size(); });
+    conn->on_data([&](crypto::Buffer data) { received += data.size(); });
   });
   auto client = sa.connect(Endpoint{kAddrB, kPort});
   client->on_connect([&] { client->send(Bytes(kTotal, 0x5a)); });
@@ -148,7 +148,7 @@ TEST(Tcp, ThroughputIsWindowLimited) {
   std::size_t received = 0;
   sim::Time last_arrival = 0;
   sb.listen(kPort, [&](std::shared_ptr<TcpConnection> conn) {
-    conn->on_data([&](Bytes data) {
+    conn->on_data([&](crypto::Buffer data) {
       received += data.size();
       last_arrival = topo.net.loop().now();
     });
@@ -174,7 +174,7 @@ TEST(Tcp, ThroughputIsBandwidthLimitedOnFatWindow) {
   std::size_t received = 0;
   sim::Time last_arrival = 0;
   sb.listen(kPort, [&](std::shared_ptr<TcpConnection> conn) {
-    conn->on_data([&](Bytes data) {
+    conn->on_data([&](crypto::Buffer data) {
       received += data.size();
       last_arrival = topo.net.loop().now();
     });
@@ -196,7 +196,7 @@ TEST(Tcp, CleanCloseBothSides) {
   std::shared_ptr<TcpConnection> server_conn;
   sb.listen(kPort, [&](std::shared_ptr<TcpConnection> conn) {
     server_conn = conn;
-    conn->on_data([&, c = conn.get()](Bytes) { c->close(); });
+    conn->on_data([&, c = conn.get()](crypto::Buffer) { c->close(); });
     conn->on_close([&] { server_closed = true; });
   });
   auto client = sa.connect(Endpoint{kAddrB, kPort});
@@ -216,7 +216,7 @@ TEST(Tcp, DataQueuedBeforeCloseIsDelivered) {
   TcpStack sa(topo.a), sb(topo.b);
   std::size_t received = 0;
   sb.listen(kPort, [&](std::shared_ptr<TcpConnection> conn) {
-    conn->on_data([&](Bytes data) { received += data.size(); });
+    conn->on_data([&](crypto::Buffer data) { received += data.size(); });
   });
   auto client = sa.connect(Endpoint{kAddrB, kPort});
   client->on_connect([&] {
@@ -256,7 +256,7 @@ TEST(Tcp, ConcurrentConnectionsAreIsolated) {
   int next_id = 0;
   sb.listen(kPort, [&](std::shared_ptr<TcpConnection> conn) {
     const int id = next_id++;
-    conn->on_data([&, id](Bytes data) {
+    conn->on_data([&, id](crypto::Buffer data) {
       server_rx[id].insert(server_rx[id].end(), data.begin(), data.end());
     });
   });

@@ -157,7 +157,9 @@ TEST(Teredo, TcpOverTunnel) {
   TcpStack ta(topo.alice), tb(topo.bob);
   crypto::Bytes got;
   tb.listen(80, [&](std::shared_ptr<TcpConnection> conn) {
-    conn->on_data([&](crypto::Bytes data) { got = std::move(data); });
+    conn->on_data([&](crypto::Buffer data) {
+      got.assign(data.begin(), data.end());
+    });
   });
   auto conn = ta.connect(Endpoint{IpAddr(topo.cb->address()), 80});
   conn->on_connect([&] { conn->send(crypto::to_bytes("over teredo")); });

@@ -24,7 +24,7 @@ struct TlsTopo {
   crypto::RsaKeyPair server_key;
   TlsConfig server_cfg, client_cfg;
 
-  TlsTopo() {
+  explicit TlsTopo(net::TcpConfig tcp = {}) {
     client_node = net.add_node("client", 3e9);
     server_node = net.add_node("server", 3e9);
     const auto link = net.connect(client_node, server_node, {});
@@ -32,8 +32,8 @@ struct TlsTopo {
     server_node->add_address(link.iface_b, Ipv4Addr(10, 0, 0, 2));
     client_node->set_default_route(link.iface_a);
     server_node->set_default_route(link.iface_b);
-    tc_owned = std::make_unique<net::TcpStack>(client_node);
-    ts_owned = std::make_unique<net::TcpStack>(server_node);
+    tc_owned = std::make_unique<net::TcpStack>(client_node, tcp);
+    ts_owned = std::make_unique<net::TcpStack>(server_node, tcp);
     tc = tc_owned.get();
     ts = ts_owned.get();
 
@@ -51,8 +51,10 @@ struct TlsTopo {
       auto session =
           TlsSession::server(conn, server_node, server_cfg, /*seed=*/99);
       session->on_data([session_weak = std::weak_ptr<TlsSession>(session),
-                        on_req](Bytes data) {
-        if (auto s = session_weak.lock()) s->send(on_req(data));
+                        on_req](crypto::Buffer data) {
+        if (auto s = session_weak.lock()) {
+          s->send(on_req(Bytes(data.begin(), data.end())));
+        }
       });
       keep.push_back(std::move(session));
     });
@@ -87,7 +89,8 @@ TEST(Tls, EchoRoundTrip) {
   auto session =
       TlsSession::client(conn, topo.client_node, topo.client_cfg, 7);
   Bytes reply;
-  session->on_data([&](Bytes data) { reply = std::move(data); });
+  session->on_data(
+      [&](crypto::Buffer data) { reply.assign(data.begin(), data.end()); });
   session->send(crypto::to_bytes("hello"));  // queued until handshake done
   topo.net.loop().run();
   EXPECT_EQ(reply, crypto::to_bytes("echo:hello"));
@@ -115,7 +118,7 @@ TEST(Tls, PlaintextNeverOnWire) {
   r->set_forwarding(true);
   std::vector<Bytes> captured;
   r->set_forward_hook([&](net::Packet& pkt, std::size_t) {
-    captured.push_back(pkt.payload);
+    captured.emplace_back(pkt.payload.begin(), pkt.payload.end());
     return true;
   });
   net::TcpStack tc(c), ts(s);
@@ -177,7 +180,9 @@ TEST(Tls, TamperedRecordMacRejectedOnWire) {
   std::vector<std::shared_ptr<TlsSession>> keep;
   ts.listen(443, [&](auto conn) {
     auto session = TlsSession::server(conn, s, topo.server_cfg, 1);
-    session->on_data([&](Bytes data) { server_got = std::move(data); });
+    session->on_data([&](crypto::Buffer data) {
+      server_got.assign(data.begin(), data.end());
+    });
     session->on_close([&] { server_closed = true; });
     keep.push_back(std::move(session));
   });
@@ -233,7 +238,9 @@ TEST(Tls, LargeTransfer) {
   topo.ts->listen(443, [&](auto conn) {
     auto session =
         TlsSession::server(conn, topo.server_node, topo.server_cfg, 3);
-    session->on_data([&](Bytes data) { server_received += data.size(); });
+    session->on_data([&](crypto::Buffer data) {
+      server_received += data.size();
+    });
     keep.push_back(std::move(session));
   });
   auto conn = topo.tc->connect(Endpoint{IpAddr(Ipv4Addr(10, 0, 0, 2)), 443});
@@ -345,6 +352,43 @@ TEST(Tls, OversizedRecordHeaderRejected) {
   EXPECT_TRUE(server_closed);
   ASSERT_EQ(keep.size(), 1u);
   EXPECT_FALSE(keep[0]->established());
+}
+
+// The record framer must not care how TCP cut the stream: with one byte
+// per segment, 7-byte segments and full segments, every record comes out
+// whole, one application message per record, with the same bytes.
+TEST(Tls, RecordFramingIsIndependentOfSegmentation) {
+  const std::vector<std::size_t> sizes = {1, 100, 5000, 1, 20000};
+  for (const std::size_t mss : {std::size_t{1}, std::size_t{7},
+                                std::size_t{1460}}) {
+    net::TcpConfig tcp;
+    tcp.mss_clamp = mss;
+    TlsTopo topo(tcp);
+    std::vector<std::shared_ptr<TlsSession>> keep;
+    topo.serve([](const Bytes& req) { return req; }, keep);
+    auto conn =
+        topo.tc->connect(Endpoint{IpAddr(Ipv4Addr(10, 0, 0, 2)), 443});
+    auto session =
+        TlsSession::client(conn, topo.client_node, topo.client_cfg, 7);
+    std::vector<std::size_t> got_sizes;
+    Bytes got;
+    session->on_data([&](crypto::Buffer data) {
+      got_sizes.push_back(data.size());
+      got.insert(got.end(), data.begin(), data.end());
+    });
+    Bytes sent;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      Bytes msg(sizes[i]);
+      for (std::size_t k = 0; k < msg.size(); ++k) {
+        msg[k] = static_cast<std::uint8_t>(k * 31 + i);
+      }
+      sent.insert(sent.end(), msg.begin(), msg.end());
+      session->send(msg);
+    }
+    topo.net.loop().run();
+    EXPECT_EQ(got_sizes, sizes) << "mss=" << mss;
+    EXPECT_EQ(got, sent) << "mss=" << mss;
+  }
 }
 
 }  // namespace
