@@ -59,6 +59,81 @@ INSTANTIATE_TEST_SUITE_P(
                .completed = 54, .esp = 0}),
     golden_name);
 
+// The golden Testbed through a fault: web VM 0 goes down for three
+// seconds and the DB VM for half a second, with a short proxy upstream
+// timeout. The run goes through the pooled clients' and the proxy's
+// failure paths (upstream timeouts, retries, an ejection and a revival),
+// which no fault-free golden reaches.
+struct FaultGolden {
+  SecurityMode mode;
+  std::uint32_t pad = 0;
+  std::uint64_t hash;
+  std::uint64_t completed;
+  std::uint64_t errors;
+  std::uint64_t retries;
+  std::uint64_t ejections;
+  std::uint64_t revivals;
+};
+static_assert(std::has_unique_object_representations_v<FaultGolden>);
+
+std::string fault_golden_name(
+    const ::testing::TestParamInfo<FaultGolden>& name_info) {
+  return mode_name(name_info.param.mode);
+}
+
+class TestbedFaultGolden : public ::testing::TestWithParam<FaultGolden> {};
+
+TEST_P(TestbedFaultGolden, HashCountsAndProxyEventsArePinned) {
+  TestbedConfig cfg;
+  cfg.deployment.mode = GetParam().mode;
+  cfg.deployment.web_servers = 2;
+  cfg.deployment.dataset.items = 100;
+  cfg.deployment.dataset.users = 30;
+  cfg.deployment.dataset.bids = 200;
+  cfg.deployment.proxy_health.upstream_timeout = 500 * sim::kMillisecond;
+  Testbed bed(cfg);
+  auto& loop = bed.network().loop();
+  net::Node* web0 = bed.service().web_vms()[0]->node();
+  net::Node* db = bed.service().db_vm()->node();
+  const sim::Time t0 = loop.now();
+  loop.schedule_at(t0 + 2500 * sim::kMillisecond,
+                   [web0] { web0->set_down(true); });
+  loop.schedule_at(t0 + 5500 * sim::kMillisecond,
+                   [web0] { web0->set_down(false); });
+  loop.schedule_at(t0 + 6 * sim::kSecond, [db] { db->set_down(true); });
+  loop.schedule_at(t0 + 6500 * sim::kMillisecond,
+                   [db] { db->set_down(false); });
+  const auto report = bed.run_closed_loop(3, 9 * sim::kSecond);
+  const auto& proxy = bed.service().proxy();
+  EXPECT_EQ(bed.network().perf().determinism_hash, GetParam().hash);
+  EXPECT_EQ(report.completed, GetParam().completed);
+  EXPECT_EQ(report.errors, GetParam().errors);
+  EXPECT_EQ(proxy.retries(), GetParam().retries);
+  EXPECT_EQ(proxy.ejections(), GetParam().ejections);
+  EXPECT_EQ(proxy.revivals(), GetParam().revivals);
+  // The windows are chosen so that every failure path runs.
+  EXPECT_GE(proxy.retries(), 1u);
+  EXPECT_GE(proxy.ejections(), 1u);
+  EXPECT_GE(proxy.revivals(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, TestbedFaultGolden,
+    ::testing::Values(
+        FaultGolden{.mode = SecurityMode::kBasic,
+                    .hash = 0xab73d8a0f871a6e8ULL, .completed = 291,
+                    .errors = 1, .retries = 6, .ejections = 2,
+                    .revivals = 2},
+        FaultGolden{.mode = SecurityMode::kHip,
+                    .hash = 0xc62beef645728e62ULL, .completed = 288,
+                    .errors = 2, .retries = 5, .ejections = 1,
+                    .revivals = 1},
+        FaultGolden{.mode = SecurityMode::kSsl,
+                    .hash = 0xc00b4a401f4e54ffULL, .completed = 288,
+                    .errors = 2, .retries = 5, .ejections = 2,
+                    .revivals = 2}),
+    fault_golden_name);
+
 class ShardedGolden : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(ShardedGolden, HashCompletedAndEspArePinned) {
