@@ -27,18 +27,6 @@ void store_be(std::uint8_t* p, std::uint64_t value, std::size_t width) {
   }
 }
 
-/// The next complete length-prefixed frame's payload, if one has arrived.
-std::optional<Buffer> pop_frame(crypto::BufferQueue& q) {
-  std::uint8_t header[kFrameHeader];
-  if (q.size() < kFrameHeader) return std::nullopt;
-  q.copy_out(0, kFrameHeader, header);
-  const auto len = static_cast<std::size_t>(
-      crypto::read_be(BytesView(header, kFrameHeader), 0, kFrameHeader));
-  if (q.size() - kFrameHeader < len) return std::nullopt;
-  q.consume(kFrameHeader);
-  return q.take(len);
-}
-
 using RowRef = std::pair<std::uint64_t, BytesView>;
 
 /// Size of a result payload: ok(1) | count(4) | count x (id(8) | len(4) |
@@ -181,13 +169,24 @@ std::optional<DbResult> DbResult::parse(BytesView wire,
   return result;
 }
 
+std::optional<Buffer> DbFramer::next() {
+  std::uint8_t header[kFrameHeader];
+  if (queue_.size() < kFrameHeader) return std::nullopt;
+  queue_.copy_out(0, kFrameHeader, header);
+  const auto len = static_cast<std::size_t>(
+      crypto::read_be(BytesView(header, kFrameHeader), 0, kFrameHeader));
+  if (queue_.size() - kFrameHeader < len) return std::nullopt;
+  queue_.consume(kFrameHeader);
+  return queue_.take(len);
+}
+
 DatabaseServer::DatabaseServer(net::Node* node, net::TcpStack* tcp,
                                std::uint16_t port, DbConfig config)
-    : node_(node), config_(std::move(config)) {
-  tcp->listen(port, [this](std::shared_ptr<net::TcpConnection> conn) {
-    on_accept(std::move(conn));
-  });
-}
+    : node_(node), config_(std::move(config)),
+      sessions_(node, tcp, port, config_.transport,
+                [this](Buffer&& query, Sessions::Reply reply) {
+                  serve(std::move(query), std::move(reply));
+                }) {}
 
 void DatabaseServer::load_row(const std::string& table, std::uint64_t id,
                               std::size_t payload_size) {
@@ -238,46 +237,11 @@ void DatabaseServer::collect_range(const std::string& table, std::uint64_t lo,
   }
 }
 
-void DatabaseServer::on_accept(std::shared_ptr<net::TcpConnection> conn) {
-  const std::uint64_t id = next_id_++;
-  auto session = std::make_shared<Session>();
-  session->stream =
-      make_server_stream(std::move(conn), node_, config_.transport);
-  sessions_[id] = session;
-  session->stream->on_data([this, id](Buffer chunk) {
-    const auto it = sessions_.find(id);
-    if (it == sessions_.end()) return;
-    it->second->recv.append(std::move(chunk));
-    pump(id);
-  });
-  session->stream->on_close([this, id] {
-    const auto it = sessions_.find(id);
-    if (it != sessions_.end()) {
-      it->second->closed = true;
-      if (!it->second->busy) sessions_.erase(it);
-    }
-  });
-}
-
-void DatabaseServer::pump(std::uint64_t id) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return;
-  auto session = it->second;
-  if (session->busy || session->closed) return;
-  const auto query = pop_frame(session->recv);
-  if (!query) return;
-  session->busy = true;
-
-  auto [reply, cycles] = execute(std::string_view(
-      reinterpret_cast<const char*>(query->data()), query->size()));
-  node_->cpu().run(cycles, [this, id, session, r = std::move(reply)]() mutable {
-    session->busy = false;
-    if (session->closed) {
-      sessions_.erase(id);
-      return;
-    }
-    session->stream->send(std::move(r));
-    pump(id);
+void DatabaseServer::serve(Buffer&& query, Sessions::Reply reply) {
+  auto [frame, cycles] = execute(std::string_view(
+      reinterpret_cast<const char*>(query.data()), query.size()));
+  node_->cpu().run(cycles, [reply, r = std::move(frame)]() mutable {
+    reply.send([&r] { return std::move(r); });
   });
 }
 
@@ -351,105 +315,14 @@ std::pair<Buffer, double> DatabaseServer::execute(std::string_view query) {
 
 DbClient::DbClient(net::Node* node, net::TcpStack* tcp, net::Endpoint server,
                    TransportConfig transport)
-    : node_(node), tcp_(tcp), server_(std::move(server)),
-      transport_(std::move(transport)) {}
+    : PooledClient(node, tcp, std::move(transport), 16, std::nullopt),
+      node_(node), server_(std::move(server)) {}
 
 void DbClient::query(std::string_view q, ResultFn done) {
   Buffer frame = node_->network().buffer_pool().make(kFrameHeader + q.size());
   store_be(frame.data(), q.size(), kFrameHeader);
   if (!q.empty()) std::memcpy(frame.data() + kFrameHeader, q.data(), q.size());
-  waiting_.push_back(Waiting{std::move(frame), std::move(done)});
-  dispatch();
-}
-
-void DbClient::dispatch() {
-  while (!waiting_.empty()) {
-    std::uint64_t chosen = 0;
-    for (auto& [id, conn] : conns_) {
-      if (conn->connected && !conn->busy && !conn->dead) {
-        chosen = id;
-        break;
-      }
-    }
-    if (chosen == 0) {
-      bool pending_conn = false;
-      for (auto& [id, conn] : conns_) {
-        if (!conn->connected && !conn->dead) pending_conn = true;
-      }
-      if (conns_.size() >= max_conns_) return;
-      if (pending_conn && conns_.size() >= waiting_.size()) return;
-      const std::uint64_t id = next_conn_id_++;
-      auto conn = std::make_shared<Conn>();
-      std::shared_ptr<net::TcpConnection> tcp_conn;
-      try {
-        tcp_conn = tcp_->connect(server_);
-      } catch (const std::runtime_error&) {
-        Waiting w = std::move(waiting_.front());
-        waiting_.pop_front();
-        ++failures_;
-        w.done(std::nullopt, 0);
-        continue;
-      }
-      conn->stream = make_client_stream(std::move(tcp_conn), node_, transport_);
-      conns_[id] = conn;
-      conn->stream->on_ready([this, id] {
-        const auto it = conns_.find(id);
-        if (it == conns_.end()) return;
-        it->second->connected = true;
-        dispatch();
-      });
-      conn->stream->on_data([this, id](Buffer chunk) {
-        const auto it = conns_.find(id);
-        if (it == conns_.end()) return;
-        auto& c = *it->second;
-        c.recv.append(std::move(chunk));
-        if (auto f = pop_frame(c.recv)) {
-          finish(id, DbResult::parse(*f, &node_->network().buffer_pool()));
-        }
-      });
-      conn->stream->on_close([this, id] {
-        const auto it = conns_.find(id);
-        if (it == conns_.end()) return;
-        it->second->dead = true;
-        if (it->second->busy) {
-          finish(id, std::nullopt);
-          return;
-        }
-        const bool was_connecting = !it->second->connected;
-        conns_.erase(it);
-        if (was_connecting && !waiting_.empty()) {
-          Waiting w = std::move(waiting_.front());
-          waiting_.pop_front();
-          ++failures_;
-          w.done(std::nullopt, 0);
-          dispatch();
-        }
-      });
-      return;
-    }
-    auto conn = conns_.at(chosen);
-    Waiting w = std::move(waiting_.front());
-    waiting_.pop_front();
-    conn->busy = true;
-    conn->done = std::move(w.done);
-    conn->issued_at = node_->network().loop().now();
-    conn->stream->send(std::move(w.frame));
-  }
-}
-
-void DbClient::finish(std::uint64_t conn_id, std::optional<DbResult> result) {
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end() || !it->second->busy) return;
-  auto conn = it->second;
-  conn->busy = false;
-  const sim::Duration latency =
-      node_->network().loop().now() - conn->issued_at;
-  auto done = std::move(conn->done);
-  conn->done = nullptr;
-  if (!result) ++failures_;
-  if (conn->dead) conns_.erase(conn_id);
-  if (done) done(std::move(result), latency);
-  dispatch();
+  request(server_, std::move(frame), std::move(done));
 }
 
 }  // namespace hipcloud::apps

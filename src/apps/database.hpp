@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -8,7 +7,7 @@
 #include <string_view>
 #include <vector>
 
-#include "apps/stream.hpp"
+#include "apps/request_reply.hpp"
 
 namespace hipcloud::apps {
 
@@ -32,6 +31,19 @@ using DbTables =
 /// length of the table name, the id and the size.
 crypto::Bytes synthetic_row(std::string_view table, std::uint64_t id,
                             std::size_t size);
+
+/// Length-prefixed frames, the DB protocol's framing in both directions:
+/// a 4-byte big-endian payload length, then the payload.
+class DbFramer {
+ public:
+  void feed(crypto::Buffer&& chunk) { queue_.append(std::move(chunk)); }
+  bool error() const { return false; }
+  /// The next complete frame's payload, if one has arrived.
+  std::optional<crypto::Buffer> next();
+
+ private:
+  crypto::BufferQueue queue_;  // bytes not yet framed
+};
 
 struct DbConfig {
   /// MySQL-style query cache: identical SELECTs served from memory. The
@@ -77,14 +89,10 @@ class DatabaseServer {
   std::uint64_t cache_hits() const { return cache_hits_; }
 
  private:
-  struct Session {
-    std::unique_ptr<Stream> stream;
-    crypto::BufferQueue recv;  // query frames not yet executed
-    bool busy = false;
-    bool closed = false;
-  };
-  void on_accept(std::shared_ptr<net::TcpConnection> conn);
-  void pump(std::uint64_t id);
+  using Sessions = SessionServer<DbFramer>;
+
+  /// Executes `query` when it is taken, charges its cycles, then replies.
+  void serve(crypto::Buffer&& query, Sessions::Reply reply);
   /// Executes the query; returns the framed reply and its cost in cycles.
   std::pair<crypto::Buffer, double> execute(std::string_view query);
   /// Rows of `table` with lo <= id < hi, in id order, into rows_.
@@ -97,51 +105,44 @@ class DatabaseServer {
   DbTables own_;
   std::map<std::string, crypto::Bytes, std::less<>> cache_;  // query -> frame
   std::vector<std::pair<std::uint64_t, crypto::BytesView>> rows_;  // scratch
-  std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
   std::uint64_t queries_ = 0;
   std::uint64_t cache_hits_ = 0;
+  Sessions sessions_;  // last: it starts listening
 };
 
-/// Client side: pooled connections, one outstanding query per connection.
-class DbClient {
+/// The DB protocol as PooledClient speaks it: a query is framed when it is
+/// queued, and each reply frame decodes to a DbResult.
+struct DbClientProtocol {
+  using Request = crypto::Buffer;  // the framed query
+  using Reply = DbResult;
+  using Framer = DbFramer;
+
+  static void write(Stream& stream, crypto::Buffer&& frame,
+                    crypto::BufferPool*) {
+    stream.send(std::move(frame));
+  }
+  static std::optional<DbResult> decode(const crypto::Buffer& frame,
+                                        crypto::BufferPool* pool) {
+    return DbResult::parse(frame, pool);
+  }
+};
+
+/// Client side: pooled connections to one server, at most 16, one
+/// outstanding query per connection, and no timeout.
+class DbClient : private PooledClient<DbClientProtocol> {
  public:
-  using ResultFn = std::function<void(std::optional<DbResult>, sim::Duration)>;
+  using ResultFn = ReplyFn;
 
   DbClient(net::Node* node, net::TcpStack* tcp, net::Endpoint server,
            TransportConfig transport = {});
 
   void query(std::string_view q, ResultFn done);
 
-  std::uint64_t failures() const { return failures_; }
+  using PooledClient::failures;
 
  private:
-  struct Conn {
-    std::unique_ptr<Stream> stream;
-    crypto::BufferQueue recv;  // reply bytes not yet framed
-    bool connected = false;
-    bool busy = false;
-    bool dead = false;
-    ResultFn done;
-    sim::Time issued_at = 0;
-  };
-  struct Waiting {
-    crypto::Buffer frame;  // the framed query
-    ResultFn done;
-  };
-
-  void dispatch();
-  void finish(std::uint64_t conn_id, std::optional<DbResult> result);
-
   net::Node* node_;
-  net::TcpStack* tcp_;
   net::Endpoint server_;
-  TransportConfig transport_;
-  std::size_t max_conns_ = 16;
-  std::uint64_t next_conn_id_ = 1;
-  std::map<std::uint64_t, std::shared_ptr<Conn>> conns_;
-  std::deque<Waiting> waiting_;
-  std::uint64_t failures_ = 0;
 };
 
 }  // namespace hipcloud::apps

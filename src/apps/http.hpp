@@ -90,4 +90,20 @@ class HttpParser {
   bool error_ = false;
 };
 
+/// HttpParser as a framer of the request/response layer
+/// (apps/request_reply.hpp): requests at a server, responses at a client.
+template <HttpParser::Kind kKind>
+struct HttpFramer {
+  void feed(crypto::Buffer&& chunk) { parser.feed(std::move(chunk)); }
+  bool error() const { return parser.error(); }
+  auto next() {
+    if constexpr (kKind == HttpParser::Kind::kRequest) {
+      return parser.next_request();
+    } else {
+      return parser.next_response();
+    }
+  }
+  HttpParser parser{kKind};
+};
+
 }  // namespace hipcloud::apps

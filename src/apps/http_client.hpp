@@ -1,75 +1,45 @@
 #pragma once
 
-#include <deque>
-#include <map>
-#include <memory>
 #include <optional>
 
 #include "apps/http.hpp"
-#include "apps/stream.hpp"
+#include "apps/request_reply.hpp"
 
 namespace hipcloud::apps {
 
+/// HTTP/1.1 as PooledClient speaks it.
+struct HttpClientProtocol {
+  using Request = HttpRequest;
+  using Reply = HttpResponse;
+  using Framer = HttpFramer<HttpParser::Kind::kResponse>;
+
+  static void write(Stream& stream, HttpRequest req, crypto::BufferPool* pool) {
+    stream.send(req.serialize(pool));
+  }
+  static std::optional<HttpResponse> decode(HttpResponse&& resp,
+                                            crypto::BufferPool*) {
+    return std::move(resp);
+  }
+};
+
 /// HTTP/1.1 client with per-destination keep-alive connection pooling
 /// (one outstanding request per connection, new connections opened on
-/// demand up to a cap — jmeter/HAProxy-style behaviour).
-class HttpClient {
+/// demand up to a cap, 64 by default — jmeter/HAProxy-style behaviour),
+/// and a timeout, 30 s by default.
+class HttpClient : public PooledClient<HttpClientProtocol> {
  public:
   /// Response or nullopt on timeout/connection failure, plus the request
   /// latency (issue -> response).
-  using ResponseFn =
-      std::function<void(std::optional<HttpResponse>, sim::Duration)>;
+  using ResponseFn = ReplyFn;
 
   HttpClient(net::Node* node, net::TcpStack* tcp,
-             TransportConfig transport = {});
+             TransportConfig transport = {})
+      : PooledClient(node, tcp, std::move(transport), 64, 30 * sim::kSecond) {}
 
-  void request(const net::Endpoint& dst, HttpRequest req, ResponseFn done);
-
-  void set_timeout(sim::Duration timeout) { timeout_ = timeout; }
-  void set_max_connections_per_endpoint(std::size_t n) { max_conns_ = n; }
-
-  std::uint64_t requests_sent() const { return requests_sent_; }
-  std::uint64_t failures() const { return failures_; }
-
- private:
-  struct Conn {
-    std::unique_ptr<Stream> stream;
-    HttpParser parser{HttpParser::Kind::kResponse};
-    bool connected = false;
-    bool busy = false;
-    bool dead = false;
-    // In-flight request state.
-    ResponseFn done;
-    sim::Time issued_at = 0;
-    sim::EventHandle timeout_timer;
-    bool timer_armed = false;
-  };
-  struct Waiting {
-    HttpRequest req;
-    ResponseFn done;
-    std::uint64_t id;
-  };
-  struct Pool {
-    std::map<std::uint64_t, std::shared_ptr<Conn>> conns;
-    std::deque<Waiting> waiting;
-  };
-
-  void dispatch(const net::Endpoint& dst);
-  void issue(const net::Endpoint& dst, std::uint64_t conn_id,
-             HttpRequest req, ResponseFn done);
-  void finish(const net::Endpoint& dst, std::uint64_t conn_id,
-              std::optional<HttpResponse> resp);
-
-  net::Node* node_;
-  net::TcpStack* tcp_;
-  TransportConfig transport_;
-  sim::Duration timeout_ = 30 * sim::kSecond;
-  std::size_t max_conns_ = 64;
-  std::uint64_t next_conn_id_ = 1;
-  std::uint64_t next_waiting_id_ = 1;
-  std::map<net::Endpoint, Pool> pools_;
-  std::uint64_t requests_sent_ = 0;
-  std::uint64_t failures_ = 0;
+  void request(const net::Endpoint& dst, HttpRequest req, ResponseFn done) {
+    req.headers["connection"] = "keep-alive";
+    PooledClient::request(dst, std::move(req), std::move(done));
+  }
 };
 
 }  // namespace hipcloud::apps

@@ -1,11 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 
 #include "apps/http.hpp"
-#include "apps/stream.hpp"
+#include "apps/request_reply.hpp"
 
 namespace hipcloud::apps {
 
@@ -25,30 +23,23 @@ class HttpServer {
 
   /// CPU cycles charged per request before the handler runs (parsing,
   /// dispatch, templating). Default approximates a small PHP-less
-  /// dynamic endpoint.
+  /// dynamic endpoint. The handler does not run for a connection that
+  /// closed during the charge.
   void set_request_cycles(double cycles) { request_cycles_ = cycles; }
 
-  std::uint64_t requests_served() const { return requests_served_; }
-  std::uint64_t active_connections() const { return sessions_.size(); }
+  /// Responses actually sent.
+  std::uint64_t requests_served() const { return sessions_.replies_sent(); }
+  std::uint64_t active_connections() const { return sessions_.sessions(); }
 
  private:
-  struct Session {
-    std::unique_ptr<Stream> stream;
-    HttpParser parser{HttpParser::Kind::kRequest};
-    bool busy = false;   // a request is being handled
-    bool closed = false;
-  };
+  using Sessions = SessionServer<HttpFramer<HttpParser::Kind::kRequest>>;
 
-  void on_accept(std::shared_ptr<net::TcpConnection> conn);
-  void pump(std::uint64_t id);
+  void serve(HttpRequest&& req, Sessions::Reply reply);
 
   net::Node* node_;
-  TransportConfig transport_;
   Handler handler_;
   double request_cycles_ = 60e3;
-  std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
-  std::uint64_t requests_served_ = 0;
+  Sessions sessions_;  // last: it starts listening
 };
 
 }  // namespace hipcloud::apps

@@ -5,64 +5,62 @@
 namespace hipcloud::apps {
 
 // ---------------------------------------------------------------------------
-// ClosedLoopClients
+// LoadGenerator
 
-ClosedLoopClients::ClosedLoopClients(net::Node* node, net::TcpStack* tcp,
-                                     Config config)
-    : node_(node), config_(config), client_(node, tcp, config.transport),
-      mix_(config.mix, config.seed), rng_(config.seed ^ 0x9e37) {
-  client_.set_max_connections_per_endpoint(
-      static_cast<std::size_t>(config_.concurrency) + 4);
-}
-
-HttpRequest ClosedLoopClients::next_request() {
-  if (!config_.fixed_path.empty()) {
+HttpRequest LoadGenerator::next_request() {
+  if (!fixed_path_.empty()) {
     HttpRequest req;
-    req.path = config_.fixed_path;
+    req.path = fixed_path_;
     return req;
   }
   return mix_.next();
 }
 
+void LoadGenerator::record(const std::optional<HttpResponse>& resp,
+                           sim::Duration latency) {
+  if (node_->network().loop().now() < started_at_ + warmup_) return;
+  if (resp && resp->status == 200) {
+    ++report_.completed;
+    report_.latency_ms.add(sim::to_millis(latency));
+  } else {
+    ++report_.errors;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ClosedLoopClients
+
+ClosedLoopClients::ClosedLoopClients(net::Node* node, net::TcpStack* tcp,
+                                     Config config)
+    : LoadGenerator(node, tcp, config), config_(std::move(config)) {
+  client_.set_max_connections_per_endpoint(
+      static_cast<std::size_t>(config_.concurrency) + 4);
+}
+
 void ClosedLoopClients::start(DoneFn done) {
   done_ = std::move(done);
-  auto& loop = node_->network().loop();
-  started_at_ = loop.now();
-  deadline_ = started_at_ + config_.duration;
+  begin();
   active_users_ = config_.concurrency;
   for (int user = 0; user < config_.concurrency; ++user) {
     // Stagger user start slightly to avoid a synchronized burst.
-    loop.schedule(static_cast<sim::Duration>(user) * sim::kMillisecond,
-                  [this, user] { user_loop(user); });
+    node_->network().loop().schedule(
+        static_cast<sim::Duration>(user) * sim::kMillisecond,
+        [this, user] { user_loop(user); });
   }
 }
 
 void ClosedLoopClients::user_loop(int user) {
-  auto& loop = node_->network().loop();
-  if (loop.now() >= deadline_) {
-    if (--active_users_ == 0 && done_) {
-      report_.duration_seconds =
-          sim::to_seconds(deadline_ - started_at_ - config_.warmup);
-      done_(report_);
-    }
+  if (node_->network().loop().now() >= deadline_) {
+    if (--active_users_ == 0 && done_) done_(report());
     return;
   }
   client_.request(
       config_.target, next_request(),
       [this, user](std::optional<HttpResponse> resp, sim::Duration latency) {
-        auto& evloop = node_->network().loop();
-        const bool counted = evloop.now() >= started_at_ + config_.warmup;
-        if (counted) {
-          if (resp && resp->status == 200) {
-            ++report_.completed;
-            report_.latency_ms.add(sim::to_millis(latency));
-          } else {
-            ++report_.errors;
-          }
-        }
+        record(resp, latency);
         if (config_.think_time > 0) {
-          evloop.schedule(config_.think_time,
-                          [this, user] { user_loop(user); });
+          node_->network().loop().schedule(config_.think_time,
+                                           [this, user] { user_loop(user); });
         } else {
           user_loop(user);
         }
@@ -74,62 +72,35 @@ void ClosedLoopClients::user_loop(int user) {
 
 OpenLoopGenerator::OpenLoopGenerator(net::Node* node, net::TcpStack* tcp,
                                      Config config)
-    : node_(node), config_(config), client_(node, tcp, config.transport),
-      mix_(config.mix, config.seed), rng_(config.seed ^ 0x517c) {
+    : LoadGenerator(node, tcp, config), config_(std::move(config)),
+      rng_(config_.seed ^ 0x517c) {
   client_.set_max_connections_per_endpoint(512);
-}
-
-HttpRequest OpenLoopGenerator::next_request() {
-  if (!config_.fixed_path.empty()) {
-    HttpRequest req;
-    req.path = config_.fixed_path;
-    return req;
-  }
-  return mix_.next();
 }
 
 void OpenLoopGenerator::start(DoneFn done) {
   done_ = std::move(done);
-  auto& loop = node_->network().loop();
-  started_at_ = loop.now();
-  deadline_ = started_at_ + config_.duration;
+  begin();
   generating_ = true;
-  schedule_next(started_at_);
+  schedule_next(node_->network().loop().now());
 }
 
 void OpenLoopGenerator::schedule_next(sim::Time when) {
-  auto& loop = node_->network().loop();
   if (when >= deadline_) {
     generating_ = false;
-    if (outstanding_ == 0 && done_) {
-      report_.duration_seconds =
-          sim::to_seconds(deadline_ - started_at_ - config_.warmup);
-      done_(report_);
-    }
+    if (outstanding_ == 0 && done_) done_(report());
     return;
   }
-  loop.schedule_at(when, [this, when] {
+  node_->network().loop().schedule_at(when, [this, when] {
     ++outstanding_;
     client_.request(
         config_.target, next_request(),
         [this](std::optional<HttpResponse> resp, sim::Duration latency) {
           --outstanding_;
-          const bool counted =
-              node_->network().loop().now() >= started_at_ + config_.warmup;
-          if (counted) {
-            if (resp && resp->status == 200) {
-              ++report_.completed;
-              report_.latency_ms.add(sim::to_millis(latency));
-            } else {
-              ++report_.errors;
-            }
-          }
+          record(resp, latency);
           if (!generating_ && outstanding_ == 0 && done_) {
-            report_.duration_seconds =
-                sim::to_seconds(deadline_ - started_at_ - config_.warmup);
             auto done = std::move(done_);
             done_ = nullptr;
-            done(report_);
+            done(report());
           }
         });
     sim::Duration gap;

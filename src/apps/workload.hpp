@@ -23,10 +23,50 @@ struct LoadReport {
   }
 };
 
+/// What both load generators share: the HTTP client, the request source
+/// (a fixed path when one is set, else the RUBiS mix) and the report,
+/// which counts only results that arrive after the warm-up.
+class LoadGenerator {
+ protected:
+  /// `config` is the generator's Config.
+  template <typename Config>
+  LoadGenerator(net::Node* node, net::TcpStack* tcp, const Config& config)
+      : node_(node), client_(node, tcp, config.transport),
+        mix_(config.mix, config.seed), fixed_path_(config.fixed_path),
+        duration_(config.duration), warmup_(config.warmup) {}
+
+  /// Opens the run now; it ends at deadline_.
+  void begin() {
+    started_at_ = node_->network().loop().now();
+    deadline_ = started_at_ + duration_;
+  }
+  HttpRequest next_request();
+  /// Counts one result, unless it arrived during the warm-up.
+  void record(const std::optional<HttpResponse>& resp, sim::Duration latency);
+  /// The report, its duration the run after the warm-up.
+  const LoadReport& report() {
+    report_.duration_seconds =
+        sim::to_seconds(deadline_ - started_at_ - warmup_);
+    return report_;
+  }
+
+  net::Node* node_;
+  HttpClient client_;
+  sim::Time deadline_ = 0;
+
+ private:
+  RubisRequestMix mix_;
+  std::string fixed_path_;
+  sim::Duration duration_;
+  sim::Duration warmup_;
+  sim::Time started_at_ = 0;
+  LoadReport report_;
+};
+
 /// jmeter-style closed-loop load: N virtual users, each issuing the next
 /// request as soon as (think time after) the previous response arrives.
 /// Requests come from a RubisRequestMix unless a fixed path is set.
-class ClosedLoopClients {
+class ClosedLoopClients : private LoadGenerator {
  public:
   struct Config {
     int concurrency = 10;
@@ -51,23 +91,15 @@ class ClosedLoopClients {
 
  private:
   void user_loop(int user);
-  HttpRequest next_request();
 
-  net::Node* node_;
   Config config_;
-  HttpClient client_;
-  RubisRequestMix mix_;
-  sim::Xoshiro256 rng_;
-  LoadReport report_;
-  sim::Time started_at_ = 0;
-  sim::Time deadline_ = 0;
   int active_users_ = 0;
   DoneFn done_;
 };
 
 /// httperf-style open-loop generator: requests at a fixed rate regardless
 /// of completions, measuring response times.
-class OpenLoopGenerator {
+class OpenLoopGenerator : private LoadGenerator {
  public:
   struct Config {
     double rate_rps = 120.0;  // the paper's httperf rate
@@ -91,16 +123,9 @@ class OpenLoopGenerator {
 
  private:
   void schedule_next(sim::Time when);
-  HttpRequest next_request();
 
-  net::Node* node_;
   Config config_;
-  HttpClient client_;
-  RubisRequestMix mix_;
   sim::Xoshiro256 rng_;
-  LoadReport report_;
-  sim::Time started_at_ = 0;
-  sim::Time deadline_ = 0;
   std::uint64_t outstanding_ = 0;
   bool generating_ = false;
   DoneFn done_;

@@ -150,6 +150,59 @@ TEST(HttpServerClient, LatencyIsMeasured) {
   EXPECT_LT(latency, 100 * sim::kMillisecond);
 }
 
+// A response the client cannot frame fails its request and closes the
+// connection, as a timeout does, instead of leaving it established in
+// the node's TcpStack until the peer closes it.
+TEST(HttpServerClient, MalformedResponseClosesTheConnection) {
+  WebTopo topo;
+  bool peer_saw_close = false;
+  topo.ts->listen(80, [&](std::shared_ptr<net::TcpConnection> conn) {
+    net::TcpConnection* c = conn.get();  // the handler lives in *c
+    conn->on_data([c](crypto::Buffer) {
+      c->send(crypto::Buffer(
+          crypto::to_bytes("HTTP/1.1 200 OK\r\nno colon here\r\n\r\n")));
+    });
+    conn->on_close([&] { peer_saw_close = true; });
+  });
+  HttpClient client(topo.client_node, topo.tc.get());
+  int calls = 0;
+  client.request(topo.server_ep(80), HttpRequest{},
+                 [&](std::optional<HttpResponse> resp, sim::Duration) {
+                   ++calls;
+                   EXPECT_FALSE(resp.has_value());
+                 });
+  topo.net.loop().run(10 * sim::kSecond);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(client.failures(), 1u);
+  EXPECT_TRUE(peer_saw_close);
+}
+
+// Bytes the server cannot frame, arriving while a request is being
+// charged, close the session: the handler never runs for it and no
+// response is counted as served.
+TEST(HttpServerClient, FramingErrorMidRequestDropsThatRequest) {
+  WebTopo topo;
+  HttpServer server(topo.server_node, topo.ts.get(), 80);
+  server.set_request_cycles(8e9);  // one second on this node
+  int handled = 0;
+  server.set_handler([&](const HttpRequest&, HttpServer::RespondFn done) {
+    ++handled;
+    done(HttpResponse::make(200, {}));
+  });
+  const auto conn = topo.tc->connect(topo.server_ep(80));
+  conn->on_connect([&] {
+    conn->send(HttpRequest{}.serialize());
+    topo.net.loop().schedule(100 * sim::kMillisecond, [&] {
+      conn->send(crypto::Buffer(
+          crypto::to_bytes("GET / HTTP/1.1\r\nno colon here\r\n\r\n")));
+    });
+  });
+  topo.net.loop().run(10 * sim::kSecond);
+  EXPECT_EQ(handled, 0);
+  EXPECT_EQ(server.requests_served(), 0u);
+  EXPECT_EQ(server.active_connections(), 0u);
+}
+
 TEST(ReverseProxy, RoundRobinAcrossBackends) {
   net::Network net{5};
   auto* client_node = net.add_node("client", 8e9);
