@@ -10,7 +10,8 @@
 //
 // `micro_sim --quick` is also a gate: it exits nonzero when any RUBiS arm
 // (basic, HIP, SSL) costs more than kMaxAllocsPerRequest heap allocations
-// per completed request.
+// per completed request, or holds more than kMaxLiveHeapBytes once its
+// run ends.
 
 #include <malloc.h>
 
@@ -260,9 +261,11 @@ EchoScore run_tcp_echo(std::uint64_t round_trips) {
 // datapath, SSL). This is the exact spine the paper reproduction
 // stresses.
 
-/// The allocation budget per completed request that `--quick` enforces
-/// on every arm.
+/// The budgets `--quick` enforces on every arm: heap allocations per
+/// completed request, and the heap a world holds once its run ends (the
+/// largest arm's, HIP's 412,448 bytes, plus 25%).
 constexpr double kMaxAllocsPerRequest = 100.0;
+constexpr std::int64_t kMaxLiveHeapBytes = 516'000;
 
 struct RubisScore {
   core::SecurityMode mode;
@@ -272,6 +275,8 @@ struct RubisScore {
   /// over the heap before it was built. The RUBiS dataset is built once
   /// per process and shared by every world, so it is not part of this.
   std::int64_t live_heap_bytes;
+  /// Callback slots in the world's event arena once its run ends.
+  std::size_t arena_slots;
   double wall_seconds;
   sim::PerfCounters perf;
 };
@@ -304,6 +309,7 @@ RubisScore run_rubis(core::SecurityMode mode, int clients,
                          : 0.0;
     score.wall_seconds = seconds_since(t0);
     score.perf = bed.network().perf();
+    score.arena_slots = bed.network().loop().arena_slots();
   }
   score.live_heap_bytes = live1 - live0;
   return score;
@@ -333,6 +339,7 @@ void write_rubis_json(std::FILE* f, const RubisScore& rubis, bool last) {
   }
   std::fprintf(f, "    \"live_heap_bytes\": %lld,\n",
                static_cast<long long>(rubis.live_heap_bytes));
+  std::fprintf(f, "    \"arena_slots\": %zu,\n", rubis.arena_slots);
   std::fprintf(f, "    \"wall_seconds\": %.2f,\n", rubis.wall_seconds);
   std::fprintf(f, "    \"sim_perf\": {\n");
   rubis.perf.write_json_fields(f, "      ");
@@ -433,20 +440,29 @@ int main(int argc, char** argv) {
     std::printf("rubis-%s closed loop (4 clients, %.0f sim-s)\n"
                 "  completed requests: %llu\n"
                 "  heap allocs/request: %.1f (budget %.0f)\n"
-                "  live heap after run: %.2f MB\n"
+                "  live heap after run: %.2f MB (budget %.2f)\n"
+                "  event arena slots after run: %zu\n"
                 "  pool misses/packet: %.2f (hit rate %.0f%%)\n"
                 "  wall seconds: %.2f\n\n",
                 mode_name(mode), rubis_secs,
                 static_cast<unsigned long long>(rubis.completed),
                 rubis.allocs_per_request, kMaxAllocsPerRequest,
                 static_cast<double>(rubis.live_heap_bytes) / 1e6,
-                rubis.perf.pool_misses_per_packet(),
+                static_cast<double>(kMaxLiveHeapBytes) / 1e6,
+                rubis.arena_slots, rubis.perf.pool_misses_per_packet(),
                 100.0 * rubis.perf.pool_hit_rate(), rubis.wall_seconds);
     if (rubis.completed == 0 ||
         rubis.allocs_per_request > kMaxAllocsPerRequest) {
       std::printf("FAIL: rubis-%s exceeds %.0f heap allocations per "
                   "request\n\n",
                   mode_name(mode), kMaxAllocsPerRequest);
+      over_budget = true;
+    }
+    if (rubis.live_heap_bytes > kMaxLiveHeapBytes) {
+      std::printf("FAIL: rubis-%s holds more than %.2f MB of heap after "
+                  "its run\n\n",
+                  mode_name(mode),
+                  static_cast<double>(kMaxLiveHeapBytes) / 1e6);
       over_budget = true;
     }
     arms.push_back(rubis);

@@ -25,7 +25,7 @@ struct HttpClientProtocol {
 /// HTTP/1.1 client with per-destination keep-alive connection pooling
 /// (one outstanding request per connection, new connections opened on
 /// demand up to a cap, 64 by default — jmeter/HAProxy-style behaviour),
-/// and a timeout, 30 s by default.
+/// and a timeout fixed at construction, 30 s by default.
 class HttpClient : public PooledClient<HttpClientProtocol> {
  public:
   /// Response or nullopt on timeout/connection failure, plus the request
@@ -33,8 +33,9 @@ class HttpClient : public PooledClient<HttpClientProtocol> {
   using ResponseFn = ReplyFn;
 
   HttpClient(net::Node* node, net::TcpStack* tcp,
-             TransportConfig transport = {})
-      : PooledClient(node, tcp, std::move(transport), 64, 30 * sim::kSecond) {}
+             TransportConfig transport = {},
+             sim::Duration timeout = 30 * sim::kSecond)
+      : PooledClient(node, tcp, std::move(transport), 64, timeout) {}
 
   void request(const net::Endpoint& dst, HttpRequest req, ResponseFn done) {
     req.headers["connection"] = "keep-alive";

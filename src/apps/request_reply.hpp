@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "apps/stream.hpp"
+#include "sim/fixed_delay_queue.hpp"
 
 namespace hipcloud::apps {
 
@@ -29,8 +30,9 @@ namespace hipcloud::apps {
 ///   static void write(Stream&, Request&&, crypto::BufferPool*);
 ///   static std::optional<Reply> decode(Message&&, crypto::BufferPool*);
 /// A reply that does not decode fails only its own request. The optional
-/// timeout bounds a request's wait in the queue and, once sent, its wait
-/// for the reply, which then also closes the connection.
+/// timeout, fixed at construction, bounds a request's wait in the queue
+/// and, once sent, its wait for the reply, which then also closes the
+/// connection.
 template <typename Protocol>
 class PooledClient {
  public:
@@ -43,7 +45,9 @@ class PooledClient {
   PooledClient(net::Node* node, net::TcpStack* tcp, TransportConfig transport,
                std::size_t max_conns, std::optional<sim::Duration> timeout)
       : node_(node), tcp_(tcp), transport_(std::move(transport)),
-        max_conns_(max_conns), timeout_(timeout) {}
+        max_conns_(max_conns) {
+    if (timeout) expiries_.emplace(loop(), *timeout);
+  }
   // Callbacks hold the addresses of the client's pools.
   PooledClient(const PooledClient&) = delete;
   PooledClient& operator=(const PooledClient&) = delete;
@@ -55,13 +59,10 @@ class PooledClient {
     // Queue-time timeout: covers requests stuck behind a connection that
     // never establishes. Once issued, the per-issue timer takes over and
     // this becomes a no-op (the id is gone from the queue).
-    if (timeout_) {
-      loop().schedule(*timeout_, [p = &pool, wid] { p->expire(wid); });
-    }
+    if (expiries_) expiries_->push(Expiry{&pool, wid});
     pool.dispatch();
   }
 
-  void set_timeout(sim::Duration timeout) { timeout_ = timeout; }
   void set_max_connections_per_endpoint(std::size_t n) { max_conns_ = n; }
 
   std::uint64_t requests_sent() const { return requests_sent_; }
@@ -147,7 +148,7 @@ class PooledClient {
           finish(id, Protocol::decode(std::move(*msg), &client->pool()));
         }
       });
-      conn->stream->on_close([this, id] { on_closed(id); });
+      conn->stream->on_close([this, id] { close(id); });
       return true;
     }
 
@@ -156,8 +157,9 @@ class PooledClient {
       conn->busy = true;
       conn->done = std::move(done);
       conn->issued_at = client->loop().now();
-      if (client->timeout_) {
-        conn->timer = client->loop().schedule(*client->timeout_, [this, id] {
+      if (client->expiries_) {
+        const sim::Duration timeout = client->expiries_->delay();
+        conn->timer = client->loop().schedule(timeout, [this, id] {
           const auto it = conns.find(id);
           if (it == conns.end() || !it->second->busy) return;
           it->second->timer_armed = false;
@@ -188,19 +190,18 @@ class PooledClient {
       dispatch();
     }
 
-    /// Closes the connection's stream, then applies the on-close rule.
+    /// Closes the connection's stream, then applies the on-close rule. A
+    /// stream the peer closed comes here too, so this side closes as well
+    /// and neither TcpStack keeps the connection half-closed.
     void close(std::uint64_t id) {
-      conns.at(id)->stream->close();
-      on_closed(id);
-    }
-
-    void on_closed(std::uint64_t id) {
       const auto it = conns.find(id);
-      if (it == conns.end()) return;
-      it->second->dead = true;
-      if (it->second->busy) return finish(id, std::nullopt);
-      const bool was_connecting = !it->second->connected;
-      conns.erase(it);
+      if (it == conns.end() || it->second->dead) return;
+      const auto conn = it->second;
+      conn->dead = true;  // a close callback from the stream stops above
+      conn->stream->close();
+      if (conn->busy) return finish(id, std::nullopt);
+      const bool was_connecting = !conn->connected;
+      conns.erase(id);
       // A connection that died before establishing means the target is
       // unreachable: fail one waiting request instead of retrying forever.
       if (was_connecting && !waiting.empty()) {
@@ -225,13 +226,20 @@ class PooledClient {
       auto expired = std::move(it->done);
       waiting.erase(it);
       ++client->failures_;
-      expired(std::nullopt, *client->timeout_);
+      expired(std::nullopt, client->expiries_->delay());
     }
 
     PooledClient* client;
     net::Endpoint dst;
     std::map<std::uint64_t, std::shared_ptr<Conn>> conns;
     std::deque<Waiting> waiting;
+  };
+
+  /// A request's queue-time timeout, parked in `expiries_`.
+  struct Expiry {
+    Pool* pool;
+    std::uint64_t wid;
+    void operator()() const { pool->expire(wid); }
   };
 
   sim::EventLoop& loop() { return node_->network().loop(); }
@@ -241,10 +249,12 @@ class PooledClient {
   net::TcpStack* tcp_;
   TransportConfig transport_;
   std::size_t max_conns_;
-  std::optional<sim::Duration> timeout_;
   std::uint64_t next_conn_id_ = 1;
   std::uint64_t next_waiting_id_ = 1;
   std::map<net::Endpoint, Pool> pools_;
+  // Every request's queue-time timeout, built when the client has a
+  // timeout: its delay() is the timeout.
+  std::optional<sim::FixedDelayQueue<Expiry>> expiries_;
   std::uint64_t requests_sent_ = 0;
   std::uint64_t failures_ = 0;
 };
@@ -328,22 +338,23 @@ class SessionServer {
       if (it == sessions_.end()) return;
       Session& s = *it->second;
       s.framer.feed(std::move(chunk));
-      if (s.framer.error()) {
-        s.stream->close();
-        return on_closed(id);
-      }
+      if (s.framer.error()) return close(id);
       pump(id);
     });
-    session->stream->on_close([this, id] { on_closed(id); });
+    session->stream->on_close([this, id] { close(id); });
   }
 
-  /// A session that is idle when it closes goes at once; a busy one is
-  /// marked and goes when its request ends.
-  void on_closed(std::uint64_t id) {
+  /// Closes the session's stream, also when the peer closed first, so
+  /// neither TcpStack keeps the connection half-closed. A session that is
+  /// idle then goes at once; a busy one is marked and goes when its
+  /// request ends.
+  void close(std::uint64_t id) {
     const auto it = sessions_.find(id);
-    if (it == sessions_.end()) return;
-    it->second->closed = true;
-    if (!it->second->busy) sessions_.erase(it);
+    if (it == sessions_.end() || it->second->closed) return;
+    const auto session = it->second;
+    session->closed = true;  // a close callback from the stream stops above
+    session->stream->close();
+    if (!session->busy) sessions_.erase(id);
   }
 
   /// Serves the session's next complete request, unless it is busy or

@@ -13,7 +13,10 @@ ReverseProxy::ReverseProxy(net::Node* node, net::TcpStack* tcp,
                            std::vector<net::Endpoint> backends,
                            Balance balance, HealthConfig health)
     : node_(node), server_(node, tcp, port, std::move(front)),
-      client_(node, tcp, std::move(back)), backends_(std::move(backends)),
+      // Fails towards the client well before the client's own timeout
+      // (HAProxy-style server timeout).
+      client_(node, tcp, std::move(back), health.upstream_timeout),
+      backends_(std::move(backends)),
       balance_(balance), health_(std::move(health)),
       outstanding_(backends_.size(), 0), dispatched_(backends_.size(), 0),
       healthy_(backends_.size(), 1), consec_failures_(backends_.size(), 0) {
@@ -22,9 +25,6 @@ ReverseProxy::ReverseProxy(net::Node* node, net::TcpStack* tcp,
   }
   // Proxying is cheap per request compared to a dynamic endpoint.
   server_.set_request_cycles(25e3);
-  // Fail towards the client well before the client's own timeout
-  // (HAProxy-style server timeout).
-  client_.set_timeout(health_.upstream_timeout);
   server_.set_handler(
       [this](const HttpRequest& req, HttpServer::RespondFn respond) {
         dispatch(req, std::move(respond), 0);

@@ -141,7 +141,6 @@ EventHandle EventLoop::enqueue(Time when, std::uint64_t seq,
   if (when < now_) when = now_;
   heap_.push_back(HeapEntry{});  // grow first; sift_up fills the hole
   sift_up(heap_.size() - 1, HeapEntry{when, seq, idx});
-  ++perf_.events_scheduled;
   return EventHandle((static_cast<std::uint64_t>(state_[idx].gen) << 32) |
                      (static_cast<std::uint64_t>(idx) + 1));
 }
@@ -160,14 +159,24 @@ std::uint32_t EventLoop::pending_position(EventHandle h) const {
   return s.pos;
 }
 
-bool EventLoop::cancel(EventHandle h) {
+bool EventLoop::remove(EventHandle h) {
   const std::uint32_t pos = pending_position(h);
   if (pos == kFree) return false;
   const std::uint32_t idx = heap_[pos].slot;
   heap_erase(pos);
-  ++perf_.events_cancelled;
   release_slot(idx);  // release captured state eagerly
   return true;
+}
+
+bool EventLoop::cancel(EventHandle h) {
+  if (!remove(h)) return false;
+  ++perf_.events_cancelled;
+  return true;
+}
+
+void EventLoop::discard(EventHandle head, std::size_t parked) {
+  parked_ -= parked;
+  remove(head);
 }
 
 bool EventLoop::reschedule(EventHandle h, Duration delay) {

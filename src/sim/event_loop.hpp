@@ -11,6 +11,9 @@
 
 namespace hipcloud::sim {
 
+template <typename T>
+class FixedDelayQueue;
+
 /// Handle returned by EventLoop::schedule(); can be used to cancel or
 /// re-arm the event before it fires. Value-semantic and cheap to copy.
 class EventHandle {
@@ -53,6 +56,10 @@ class EventHandle {
 ///    the slot is neither queued nor free, so callbacks can schedule,
 ///    cancel and reschedule re-entrantly, and their own handle reports
 ///    false.
+///
+/// Events that share one fixed delay can wait off the heap in a
+/// FixedDelayQueue (sim/fixed_delay_queue.hpp): only each queue's head is
+/// on the heap, and the entries behind it are counted as pending here.
 class EventLoop {
  public:
   EventLoop() = default;
@@ -75,6 +82,7 @@ class EventLoop {
   template <typename F>
   EventHandle schedule_at(Time when, F&& f) {
     const std::uint32_t idx = emplace_callback(std::forward<F>(f));
+    ++perf_.events_scheduled;
     return enqueue(when, next_seq_++, idx);
   }
 
@@ -98,6 +106,7 @@ class EventLoop {
                              std::uint64_t post_idx, F&& f) {
     const std::uint64_t seq = cross_seq(src_shard, post_idx);
     const std::uint32_t idx = emplace_callback(std::forward<F>(f));
+    ++perf_.events_scheduled;
     return enqueue(when, seq, idx);
   }
 
@@ -125,13 +134,15 @@ class EventLoop {
   /// or the next event lies beyond `until` (when `until` >= 0).
   bool step(Time until = -1);
 
-  /// Pending (scheduled, not yet fired or cancelled) event count; the
-  /// heap holds exactly these.
-  std::size_t pending() const { return heap_.size(); }
+  /// Pending (scheduled, not yet fired or cancelled) event count: the
+  /// heap's entries plus the entries parked in FixedDelayQueues behind
+  /// their queue's head.
+  std::size_t pending() const { return heap_.size() + parked_; }
 
-  /// Time of the earliest pending event, or -1 when none remain. The
-  /// shard coordinator uses this between epochs to skip idle stretches
-  /// deterministically.
+  /// Time of the earliest pending event, or -1 when none remain (a
+  /// parked entry is never earlier than its queue's head, which is on the
+  /// heap). The shard coordinator uses this between epochs to skip idle
+  /// stretches deterministically.
   Time next_event_time() const { return heap_.empty() ? -1 : heap_[0].when; }
 
   /// Slots in the callback arena: pending, free and firing. Grows a chunk
@@ -162,6 +173,28 @@ class EventLoop {
   const PerfCounters& perf() const { return perf_; }
 
  private:
+  template <typename T>
+  friend class FixedDelayQueue;
+
+  // FixedDelayQueue's access. park() draws a pushed entry's seq, the one
+  // schedule() would have drawn, counts one schedule and counts the entry
+  // as pending off the heap. unpark() puts a parked entry on the heap
+  // under its drawn (when, seq) and counts nothing. discard() drops a
+  // destroyed queue's entries, its head's event and `parked` others,
+  // counting nothing either, as ~EventLoop() counts nothing.
+  std::uint64_t park() {
+    ++parked_;
+    ++perf_.events_scheduled;
+    return next_seq_++;
+  }
+  template <typename F>
+  EventHandle unpark(Time when, std::uint64_t seq, F&& f) {
+    const std::uint32_t idx = emplace_callback(std::forward<F>(f));
+    --parked_;
+    return enqueue(when, seq, idx);
+  }
+  void discard(EventHandle head, std::size_t parked);
+
   // Position sentinels in SlotState::pos; every other value is the
   // slot's index in heap_. kFiring: off the heap with its callback still
   // alive (running, or being destroyed).
@@ -207,6 +240,7 @@ class EventLoop {
     return idx;
   }
 
+  // Puts the built callback `idx` on the heap; the caller counts it.
   EventHandle enqueue(Time when, std::uint64_t seq, std::uint32_t idx);
   void grow_arena();
   // Heap position of the event `h` names, or kFree when it is not pending.
@@ -221,12 +255,15 @@ class EventLoop {
   void sift_up(std::size_t i, HeapEntry e);
   void sift_down(std::size_t i, HeapEntry e);
   void heap_erase(std::size_t i);
+  // Removes the pending event `h` names, if any, counting nothing.
+  bool remove(EventHandle h);
 
   PerfCounters perf_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   bool stopped_ = false;
   std::uint32_t firing_ = 0;  // callbacks on the stack (nested step() calls)
+  std::size_t parked_ = 0;    // pending FixedDelayQueue entries off the heap
   std::vector<HeapEntry> heap_;
   std::vector<SlotState> state_;
   std::vector<std::uint32_t> free_slots_;

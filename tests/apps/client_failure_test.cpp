@@ -2,7 +2,8 @@
 // through their public APIs: a connect that throws, a target that never
 // accepts, the connection cap, and a server that closes a connection
 // while a request is outstanding. Both clients must treat each of them
-// the same way.
+// the same way. A connection one side closes is closed by the other side
+// too, client or server, so no TcpStack keeps it half-closed.
 
 #include <gtest/gtest.h>
 
@@ -238,6 +239,8 @@ TYPED_TEST(ClientFailurePaths, CapPlusOneRequestsOpenCapConnections) {
 
 // The server closes the connection while a request is outstanding: that
 // request fails, and the next one opens a new connection and succeeds.
+// The client closes its side of the first connection, so both stacks are
+// rid of it once the server's TIME_WAIT (2 s) ends.
 TYPED_TEST(ClientFailurePaths, ServerCloseMidRequestFailsThatRequestOnly) {
   Topo topo;
   ClosingServer server(topo, TypeParam::reply());
@@ -248,12 +251,34 @@ TYPED_TEST(ClientFailurePaths, ServerCloseMidRequestFailsThatRequestOnly) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_FALSE(out[0].ok);
   EXPECT_EQ(server.accepted, 1);
+  EXPECT_EQ(topo.tc->active_connections(), 0u);
+  EXPECT_EQ(topo.ts->active_connections(), 0u);
   side.send(&out);
   topo.net.loop().run(20 * sim::kSecond);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_TRUE(out[1].ok);
   EXPECT_EQ(server.accepted, 2);
   EXPECT_EQ(side.failures(), 1u);
+  EXPECT_EQ(topo.tc->active_connections(), 1u);  // kept alive
+  EXPECT_EQ(topo.ts->active_connections(), 1u);
+}
+
+// A raw client connects to the real server and closes the connection as
+// soon as it is established, while its session is idle: the server closes
+// its side too, so both stacks are rid of the connection once the
+// client's TIME_WAIT (2 s) ends.
+TYPED_TEST(ClientFailurePaths, PeerCloseOfIdleSessionClosesServerSide) {
+  Topo topo;
+  typename TypeParam::Server server(topo);
+  const auto conn = topo.tc->connect(topo.server_ep());
+  net::TcpConnection* c = conn.get();  // the handler lives in *c
+  conn->on_connect([c] { c->close(); });
+  topo.net.loop().run(1 * sim::kSecond);
+  EXPECT_EQ(topo.tc->active_connections(), 1u);  // in TIME_WAIT
+  EXPECT_EQ(topo.ts->active_connections(), 0u);
+  topo.net.loop().run(10 * sim::kSecond);
+  EXPECT_EQ(topo.tc->active_connections(), 0u);
+  EXPECT_EQ(topo.ts->active_connections(), 0u);
 }
 
 // HTTP only: a request queued behind a connection that never establishes
@@ -261,8 +286,7 @@ TYPED_TEST(ClientFailurePaths, ServerCloseMidRequestFailsThatRequestOnly) {
 // latency. The connection's death minutes later fails nothing more.
 TEST(HttpClientFailurePaths, QueuedBehindDeadConnectFailsAtQueueTimeout) {
   Topo topo;  // nothing listens; TCP retries the SYN for minutes
-  HttpClient client(topo.client_node, topo.tc.get());
-  client.set_timeout(2 * sim::kSecond);
+  HttpClient client(topo.client_node, topo.tc.get(), {}, 2 * sim::kSecond);
   std::vector<Outcome> out;
   client.request(topo.server_ep(), HttpRequest{},
                  [&](std::optional<HttpResponse> resp, sim::Duration l) {

@@ -118,8 +118,7 @@ TEST(HttpServerClient, MissingHandlerGives404) {
 
 TEST(HttpServerClient, DeadServerTimesOut) {
   WebTopo topo;  // nothing listening on 81
-  HttpClient client(topo.client_node, topo.tc.get());
-  client.set_timeout(2 * sim::kSecond);
+  HttpClient client(topo.client_node, topo.tc.get(), {}, 2 * sim::kSecond);
   bool called = false;
   client.request(topo.server_ep(81), HttpRequest{},
                  [&](std::optional<HttpResponse> resp, sim::Duration) {

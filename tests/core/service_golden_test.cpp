@@ -121,11 +121,11 @@ INSTANTIATE_TEST_SUITE_P(
     Modes, TestbedFaultGolden,
     ::testing::Values(
         FaultGolden{.mode = SecurityMode::kBasic,
-                    .hash = 0xab73d8a0f871a6e8ULL, .completed = 291,
+                    .hash = 0x51f84fad28d4dae9ULL, .completed = 291,
                     .errors = 1, .retries = 6, .ejections = 2,
                     .revivals = 2},
         FaultGolden{.mode = SecurityMode::kHip,
-                    .hash = 0xc62beef645728e62ULL, .completed = 288,
+                    .hash = 0xacab268fc10dafa9ULL, .completed = 288,
                     .errors = 2, .retries = 5, .ejections = 1,
                     .revivals = 1},
         FaultGolden{.mode = SecurityMode::kSsl,

@@ -1,26 +1,35 @@
 // EventLoop against a reference model, plus the re-entrancy cases of the
 // in-place engine: callbacks run inside their arena slot, so a callback
 // that cancels or re-arms itself, grows the arena or throws must leave
-// the engine consistent.
+// the engine consistent. FixedDelayQueue entries take part in the same
+// model as plain schedule(delay) calls that cannot be cancelled.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "sim/check.hpp"
 #include "sim/event_loop.hpp"
+#include "sim/fixed_delay_queue.hpp"
 #include "sim/random.hpp"
 
 namespace hipcloud::sim {
 namespace {
 
+// The fixed delays of the two queues the differential test pushes into;
+// the first makes same-instant entries.
+constexpr std::array<Duration, 2> kQueueDelays = {0, 9};
+
 // The documented contract, written as plainly as possible: pending events
 // ordered by (when, seq), local seqs drawn from one counter, reschedule
-// = cancel + schedule under one fresh seq.
+// = cancel + schedule under one fresh seq, a queue push = a schedule that
+// cannot be cancelled, and a destroyed queue's entries gone uncounted.
 class ModelLoop {
  public:
   Time now() const { return now_; }
@@ -30,6 +39,11 @@ class ModelLoop {
   }
   const PerfCounters& perf() const { return perf_; }
   const std::vector<int>& fired() const { return fired_; }
+  std::size_t queue_fired() const {
+    return static_cast<std::size_t>(
+        std::count_if(fired_.begin(), fired_.end(),
+                      [this](int id) { return queue_of_.count(id) != 0; }));
+  }
 
   // Ids are assigned in creation order, as the harness below does.
   int schedule_at(Time when) {
@@ -40,7 +54,23 @@ class ModelLoop {
   }
   int schedule(Duration delay) { return schedule_at(now_ + clamp(delay)); }
 
+  int push(int queue) {
+    const int id = schedule(kQueueDelays[queue]);
+    queue_of_[id] = queue;
+    return id;
+  }
+
+  void destroy_queue(int queue) {
+    for (const auto& [id, q] : queue_of_) {
+      const auto it = where_.find(id);
+      if (q != queue || it == where_.end()) continue;
+      queue_.erase(it->second);
+      where_.erase(it);
+    }
+  }
+
   bool cancel(int id) {
+    if (queue_of_.count(id) != 0) return false;
     const auto it = where_.find(id);
     if (it == where_.end()) return false;
     queue_.erase(it->second);
@@ -67,7 +97,15 @@ class ModelLoop {
     ++perf_.events_fired;
     perf_.note_fire(when, seq);
     fired_.push_back(id);
-    if (spawns(id)) schedule(child_delay(id));
+    if (spawns(id)) {
+      // A queue entry pushes its child into its own queue.
+      const auto q = queue_of_.find(id);
+      if (q != queue_of_.end()) {
+        push(q->second);
+      } else {
+        schedule(child_delay(id));
+      }
+    }
     return true;
   }
 
@@ -98,6 +136,7 @@ class ModelLoop {
   int next_id_ = 0;
   std::map<Key, int> queue_;
   std::map<int, Key> where_;
+  std::map<int, int> queue_of_;  // queue entries' ids, pending or not
   std::vector<int> fired_;
   PerfCounters perf_;
 };
@@ -113,18 +152,43 @@ struct Fire {
   void operator()() const;
 };
 
+// A queue entry's value.
+struct Push {
+  Harness* harness;
+  int queue;
+  std::uint64_t id;
+  void operator()() const;
+};
+
 // Drives a real EventLoop with the same ids as the model.
 class Harness {
  public:
   EventLoop loop;
+  std::array<std::optional<FixedDelayQueue<Push>>, 2> queues;
   std::vector<EventHandle> handles;  // by id; stale ones stay in place
+  std::vector<int> event_ids;        // the ids that have a handle
   std::vector<int> fired;
 
+  Harness() {
+    for (int q = 0; q < 2; ++q) queues[q].emplace(loop, kQueueDelays[q]);
+  }
+
   void schedule(Duration delay) {
+    event_ids.push_back(static_cast<int>(handles.size()));
     handles.push_back(loop.schedule(delay, next_callback()));
   }
   void schedule_at(Time when) {
+    event_ids.push_back(static_cast<int>(handles.size()));
     handles.push_back(loop.schedule_at(when, next_callback()));
+  }
+  void push(int queue) {
+    const auto id = static_cast<std::uint64_t>(handles.size());
+    handles.emplace_back();  // a queue entry has no handle
+    queues[queue]->push(Push{this, queue, id});
+  }
+  void destroy_queue(int queue) {
+    queues[queue].reset();
+    queues[queue].emplace(loop, kQueueDelays[queue]);
   }
 
  private:
@@ -139,6 +203,12 @@ void Fire::operator()() const {
   const int n = static_cast<int>(id);
   harness->fired.push_back(n);
   if (ModelLoop::spawns(n)) harness->schedule(ModelLoop::child_delay(n));
+}
+
+void Push::operator()() const {
+  const int n = static_cast<int>(id);
+  harness->fired.push_back(n);
+  if (ModelLoop::spawns(n)) harness->push(queue);
 }
 
 void expect_same(const Harness& h, const ModelLoop& m, std::size_t op) {
@@ -166,24 +236,32 @@ void run_differential(std::uint64_t seed, std::size_t ops) {
   };
   for (std::size_t op = 0; op < ops; ++op) {
     const std::uint64_t kind = rng.below(100);
-    // Recent ids are mostly pending, older ones mostly stale; -1 stands
-    // for the invalid handle.
+    // Recent events are mostly pending, older ones mostly stale; -1
+    // stands for the invalid handle.
     const auto pick = [&]() -> int {
-      const std::size_t n = h.handles.size();
+      const std::size_t n = h.event_ids.size();
       if (n == 0 || rng.below(16) == 0) return -1;
       if (rng.below(4) != 0) {
-        return static_cast<int>(n - 1 - rng.below(std::min<std::size_t>(n, 24)));
+        return h.event_ids[n - 1 - rng.below(std::min<std::size_t>(n, 24))];
       }
-      return static_cast<int>(rng.below(n));
+      return h.event_ids[rng.below(n)];
     };
-    if (kind < 30) {
+    if (kind < 26) {
       const Duration d = small(-3, 20);  // negative clamps; ties are common
       h.schedule(d);
       m.schedule(d);
-    } else if (kind < 45) {
+    } else if (kind < 37) {
       const Time when = h.loop.now() + small(-5, 20);
       h.schedule_at(when);
       m.schedule_at(when);
+    } else if (kind < 44) {
+      const int q = static_cast<int>(rng.below(2));
+      h.push(q);
+      m.push(q);
+    } else if (kind < 45) {
+      const int q = static_cast<int>(rng.below(2));
+      h.destroy_queue(q);
+      m.destroy_queue(q);
     } else if (kind < 60) {
       const int id = pick();
       const EventHandle handle = id < 0 ? EventHandle{} : h.handles[id];
@@ -205,9 +283,10 @@ void run_differential(std::uint64_t seed, std::size_t ops) {
   }
   ASSERT_EQ(h.loop.run(), m.run(-1));
   expect_same(h, m, ops);
-  // The mix really exercised firing, cancelling and re-arming.
+  // The mix really exercised firing, cancelling, re-arming and queues.
   EXPECT_GT(m.perf().events_fired, ops / 5);
   EXPECT_GT(m.perf().events_cancelled, ops / 20);
+  EXPECT_GT(m.queue_fired(), ops / 20);
 }
 
 TEST(EventLoopModel, MatchesReferenceModelOnRandomInterleavings) {
@@ -366,6 +445,148 @@ TEST(EventLoopModel, CallbackDestructorsMayReenterTheLoop) {
     doomed_loop.schedule(5, [guard = CancelOnDestroy(&doomed_loop,
                                                      &victim)] {});
   }
+}
+
+// ---------------------------------------------------------------------------
+// FixedDelayQueue
+
+// A queue value that records its name and then runs `then`.
+struct Note {
+  std::vector<int>* order;
+  int name;
+  std::function<void()> then;
+  void operator()() const {
+    order->push_back(name);
+    if (then) then();
+  }
+};
+
+TEST(FixedDelayQueue, SameInstantTiesFireInScheduleOrder) {
+  // One loop pushes into a queue and the other schedules the same
+  // callbacks with the queue's delay: the (when, seq) stream is the same,
+  // so the order, the hash and the counters are too.
+  EventLoop queued;
+  EventLoop plain;
+  std::vector<int> order_q;
+  std::vector<int> order_p;
+  FixedDelayQueue<Note> queue(queued, 10);
+  const auto both = [&](int name, bool into_queue, Duration delay) {
+    if (into_queue) {
+      queue.push(Note{&order_q, name, nullptr});
+    } else {
+      queued.schedule(delay, Note{&order_q, name, nullptr});
+    }
+    plain.schedule(delay, Note{&order_p, name, nullptr});
+  };
+  both(0, false, 10);
+  both(1, true, 10);
+  both(2, false, 10);
+  both(3, true, 10);
+  both(4, false, 4);
+  EXPECT_EQ(queued.pending(), 5u);
+  EXPECT_EQ(queue.size(), 2u);
+  queued.run(6);
+  plain.run(6);
+  both(5, true, 10);   // at 16, behind everything at 10
+  both(6, false, 4);   // at 10, after the first four
+  EXPECT_EQ(queued.next_event_time(), 10);
+  queued.audit_consistency();
+  queued.run();
+  plain.run();
+  EXPECT_EQ(order_q, (std::vector<int>{4, 0, 1, 2, 3, 6, 5}));
+  EXPECT_EQ(order_q, order_p);
+  EXPECT_EQ(queued.now(), 16);
+  EXPECT_EQ(queued.perf().determinism_hash, plain.perf().determinism_hash);
+  EXPECT_EQ(queued.perf().events_scheduled, 7u);
+  EXPECT_EQ(queued.perf().events_fired, plain.perf().events_fired);
+  EXPECT_EQ(queued.perf().events_cancelled, 0u);
+  EXPECT_TRUE(queued.idle());
+  EXPECT_EQ(queue.size(), 0u);
+  queued.audit_consistency();
+}
+
+TEST(FixedDelayQueue, ValueMayPushIntoItsOwnQueue) {
+  EventLoop loop;
+  std::vector<int> order;
+  std::vector<Time> at;
+  FixedDelayQueue<Note> queue(loop, 5);
+  // 0 pushes 2 when it fires at 5, behind 1 (pushed at 2, due at 7); 2
+  // pushes 3 into the queue it emptied.
+  queue.push(Note{&order, 0, [&] {
+    at.push_back(loop.now());
+    EXPECT_EQ(queue.size(), 1u);  // left, and 1 armed, before the call
+    queue.push(Note{&order, 2, [&] {
+      at.push_back(loop.now());
+      EXPECT_EQ(queue.size(), 0u);
+      queue.push(Note{&order, 3, [&] { at.push_back(loop.now()); }});
+      loop.audit_consistency();
+    }});
+  }});
+  loop.run(2);
+  queue.push(Note{&order, 1, [&] { at.push_back(loop.now()); }});
+  EXPECT_EQ(loop.pending(), 2u);
+  EXPECT_EQ(loop.run(), 4u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(at, (std::vector<Time>{5, 7, 10, 15}));
+  EXPECT_EQ(loop.perf().events_scheduled, 4u);
+  EXPECT_EQ(loop.perf().events_fired, 4u);
+  EXPECT_TRUE(loop.idle());
+  loop.audit_consistency();
+}
+
+TEST(FixedDelayQueue, ThrowingValueLeavesTheQueueConsistent) {
+  EventLoop loop;
+  std::vector<int> order;
+  FixedDelayQueue<Note> queue(loop, 3);
+  queue.push(Note{&order, 0, [&] {
+    queue.push(Note{&order, 2, nullptr});
+    throw CheckFailure("value failed");
+  }});
+  queue.push(Note{&order, 1, nullptr});
+  EXPECT_THROW(loop.run(), CheckFailure);
+  EXPECT_EQ(loop.now(), 3);
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(loop.pending(), 2u);
+  EXPECT_EQ(loop.next_event_time(), 3);
+  loop.audit_consistency();
+  EXPECT_EQ(loop.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(loop.now(), 6);
+  EXPECT_TRUE(loop.idle());
+  loop.audit_consistency();
+}
+
+TEST(FixedDelayQueue, DestroyedQueueFiresNothingAndCountsNothing) {
+  EventLoop loop;
+  std::vector<int> order;
+  loop.schedule(8, Note{&order, 9, nullptr});
+  {
+    FixedDelayQueue<Note> queue(loop, 5);
+    for (int i = 0; i < 3; ++i) queue.push(Note{&order, i, nullptr});
+    EXPECT_EQ(loop.pending(), 4u);
+    EXPECT_EQ(loop.next_event_time(), 5);
+  }
+  EXPECT_EQ(loop.pending(), 1u);
+  EXPECT_EQ(loop.next_event_time(), 8);
+  EXPECT_EQ(loop.perf().events_scheduled, 4u);
+  EXPECT_EQ(loop.perf().events_cancelled, 0u);
+  loop.audit_consistency();
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{9}));
+
+  // A value that destroys its own queue: the entries behind it never fire.
+  std::optional<FixedDelayQueue<Note>> doomed;
+  doomed.emplace(loop, 2);
+  doomed->push(Note{&order, 10, [&] { doomed.reset(); }});
+  doomed->push(Note{&order, 11, nullptr});
+  doomed->push(Note{&order, 12, nullptr});
+  EXPECT_EQ(loop.pending(), 3u);
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_FALSE(doomed.has_value());
+  EXPECT_EQ(order, (std::vector<int>{9, 10}));
+  EXPECT_TRUE(loop.idle());
+  EXPECT_EQ(loop.perf().events_cancelled, 0u);
+  loop.audit_consistency();
 }
 
 }  // namespace
