@@ -44,12 +44,12 @@
 #include "core/secure_service.hpp"
 #include "core/sharded_service.hpp"
 #include "core/testbed.hpp"
-#include "sweep.hpp"
+#include "sim/sweep.hpp"
 
 namespace {
 
-using hipcloud::bench::sweep;
 using hipcloud::core::mode_name;
+using hipcloud::sim::sweep;
 
 struct WorldPoint {
   int clients;

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/testbed.hpp"
-#include "sweep.hpp"
+#include "sim/sweep.hpp"
 
 namespace hipcloud::bench {
 
@@ -125,7 +125,7 @@ inline Fig2Report run_fig2(const cloud::ProviderProfile& provider,
     sim::Summary latency;
   };
 
-  const unsigned threads = sweep_thread_count(kJobs);
+  const unsigned threads = sim::sweep_thread_count(kJobs);
   std::printf("Sweeping %zu (clients, mode) worlds on %u thread%s...\n\n",
               kJobs, threads, threads == 1 ? "" : "s");
 
@@ -134,7 +134,7 @@ inline Fig2Report run_fig2(const cloud::ProviderProfile& provider,
   const auto start = std::chrono::steady_clock::now();
   // Job i = (clients index, mode index); each job builds its own Testbed
   // world, so the numbers match the serial run point for point.
-  const auto results = sweep<PointResult>(
+  const auto results = sim::sweep<PointResult>(
       kJobs,
       [&](std::size_t i) {
         core::TestbedConfig cfg;

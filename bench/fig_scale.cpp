@@ -36,11 +36,12 @@
 //             protocol traffic through the parallel worlds, not probe
 //             datagrams.
 //
-// The determinism hash is asserted byte-identical across every worker
-// count at every point — a scaling curve from a world whose behaviour
-// drifts with thread count would be meaningless. The binary exits
-// non-zero on any violation, so check.sh --scale doubles as a
-// large-world determinism gate.
+// The determinism hash, the event count and the schedule shape (epochs
+// and strides) are asserted identical across every worker count at every
+// point — a scaling curve from a world whose behaviour or slicing drifts
+// with thread count would be meaningless. The binary exits non-zero on
+// any violation, so check.sh --scale doubles as a large-world
+// determinism gate.
 
 #include <chrono>
 #include <cinttypes>
@@ -78,6 +79,24 @@ struct RunStats {
   double workspan_speedup = 1.0;
   std::vector<std::uint64_t> shard_events;
 };
+
+/// Whether two runs of one world at different worker counts agree on
+/// everything the worker count must not move: the hash, the events and
+/// the coordinator's slicing. Prints the difference when they do not.
+bool same_schedule(const char* what, const RunStats& s, const RunStats& base) {
+  if (s.hash == base.hash && s.events_fired == base.events_fired &&
+      s.epochs == base.epochs && s.strides == base.strides) {
+    return true;
+  }
+  std::printf("  MISMATCH %s @ %u workers: hash 0x%016" PRIx64
+              " vs 0x%016" PRIx64 ", events %" PRIu64 " vs %" PRIu64
+              ", epochs %" PRIu64
+              " vs %" PRIu64 ", strides %" PRIu64 " vs %" PRIu64 "\n",
+              what, s.workers, s.hash, base.hash, s.events_fired,
+              base.events_fired, s.epochs, base.epochs, s.strides,
+              base.strides);
+  return false;
+}
 
 void fill_coordinator_stats(cloud::ShardedFabric& fabric, RunStats& s) {
   const auto perf = fabric.merged_perf();
@@ -441,13 +460,10 @@ int main(int argc, char** argv) {
     workers_list.push_back(0);
     for (const unsigned workers : workers_list) {
       RunStats s = run_scale_point(clients, workers);
-      if (!pt.runs.empty() && (s.hash != pt.runs[0].hash ||
-                               s.events_fired != pt.runs[0].events_fired)) {
+      const std::string what = std::to_string(clients) + " clients";
+      if (!pt.runs.empty() && !same_schedule(what.c_str(), s, pt.runs[0])) {
         pt.hash_identical = false;
         ++failures;
-        std::printf("  MISMATCH %zu clients @ %u workers: hash 0x%016" PRIx64
-                    " vs 0x%016" PRIx64 "\n",
-                    clients, s.workers, s.hash, pt.runs[0].hash);
       }
       std::printf("  %7zu clients @ %u workers (planned %u): %.3fs wall, "
                   "%" PRIu64 " events, %" PRIu64
@@ -474,7 +490,8 @@ int main(int argc, char** argv) {
       hetero.push_back(std::move(s));
     }
   }
-  // Same world, same behaviour: every run one hash. Fewer epochs with the
+  // Same world, same behaviour: every run one hash, and within a horizon
+  // rule one slicing at every worker count. Fewer epochs with the
   // per-pair horizon: the whole point of the adaptive rule.
   for (const RunStats& s : hetero) {
     if (s.hash != hetero[0].hash || s.events_fired != hetero[0].events_fired) {
@@ -482,6 +499,8 @@ int main(int argc, char** argv) {
       std::printf("  MISMATCH: ablation changed the world hash\n");
     }
   }
+  if (!same_schedule("per-pair", hetero[1], hetero[0])) ++failures;
+  if (!same_schedule("global-min", hetero[3], hetero[2])) ++failures;
   if (hetero[0].epochs >= hetero[2].epochs) {
     ++failures;
     std::printf("  FAIL: per-pair lookahead did not reduce epochs (%" PRIu64
@@ -501,15 +520,12 @@ int main(int argc, char** argv) {
     pt.total_clients = farm * static_cast<int>(kRacks);
     for (const unsigned workers : kWorkerCounts) {
       RubisStats rs = run_rubis_point(farm, workers, rubis_dur);
+      const std::string what = "rubis " + std::to_string(pt.total_clients);
       if (!pt.runs.empty() &&
-          (rs.run.hash != pt.runs[0].run.hash ||
+          (!same_schedule(what.c_str(), rs.run, pt.runs[0].run) ||
            rs.completed != pt.runs[0].completed)) {
         pt.hash_identical = false;
         ++failures;
-        std::printf("  MISMATCH %d clients @ %u workers: hash 0x%016" PRIx64
-                    " vs 0x%016" PRIx64 "\n",
-                    pt.total_clients, rs.run.workers, rs.run.hash,
-                    pt.runs[0].run.hash);
       }
       std::printf("  %4d clients @ %u workers: %.3fs wall, %" PRIu64
                   " requests, %" PRIu64 " errors, %" PRIu64
@@ -534,7 +550,8 @@ int main(int argc, char** argv) {
                 failures == 1 ? "" : "s");
     return 1;
   }
-  std::printf("\nPASS: hash byte-identical across workers at every point, "
-              "per-pair horizon needs fewer epochs, rubis error-free\n");
+  std::printf("\nPASS: hash, epochs and strides identical across workers "
+              "at every point, per-pair horizon needs fewer epochs, rubis "
+              "error-free\n");
   return 0;
 }

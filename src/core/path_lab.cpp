@@ -1,6 +1,8 @@
 #include "core/path_lab.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/secure_service.hpp"
 
@@ -49,11 +51,14 @@ PathLab::PathLab(Config config) : config_(std::move(config)) {
   inet_->add_route(IpAddr(Ipv4Addr(83, 1, 1, 1)), 32, tl.iface_b);
 
   // Order matters: HIP shims first, Teredo shims second, so ESP packets
-  // towards Teredo locators are tunnelled.
+  // towards Teredo locators are tunnelled. Both identities' keys are built
+  // side by side first; make_identity then finds them in the memo.
+  const std::vector<std::string> key_labels{"pathlab:vm1", "pathlab:vm2"};
+  build_rsa_keys(config_.seed, key_labels);
   hip1_ = std::make_unique<hip::HipDaemon>(
-      vm1_->node(), make_identity(config_.seed, "pathlab:vm1"), config_.hip);
+      vm1_->node(), make_identity(config_.seed, key_labels[0]), config_.hip);
   hip2_ = std::make_unique<hip::HipDaemon>(
-      vm2_->node(), make_identity(config_.seed, "pathlab:vm2"), config_.hip);
+      vm2_->node(), make_identity(config_.seed, key_labels[1]), config_.hip);
 
   udp1_ = std::make_unique<net::UdpStack>(vm1_->node());
   udp2_ = std::make_unique<net::UdpStack>(vm2_->node());

@@ -1,7 +1,9 @@
 #include "core/secure_service.hpp"
 
 #include "crypto/drbg.hpp"
+#include "crypto/rsa.hpp"
 #include "sim/check.hpp"
+#include "sim/sweep.hpp"
 
 namespace hipcloud::core {
 
@@ -26,6 +28,22 @@ hip::HostIdentity make_identity(std::uint64_t seed, const std::string& label) {
   return hip::HostIdentity::generate(drbg, hip::HiAlgorithm::kRsa, 1024);
 }
 
+void build_rsa_keys(std::uint64_t seed, const std::vector<std::string>& labels,
+                    std::size_t bits) {
+  std::vector<const std::string*> missing;
+  for (const std::string& label : labels) {
+    if (!crypto::rsa_key_cached(crypto::HmacDrbg(seed, label), bits)) {
+      missing.push_back(&label);
+    }
+  }
+  // A single cold key costs the same built here or where it is drawn.
+  if (missing.size() < 2) return;
+  sim::sweep<crypto::RsaKeyPair>(missing.size(), [&](std::size_t i) {
+    crypto::HmacDrbg drbg(seed, *missing[i]);
+    return crypto::rsa_generate(drbg, bits);
+  });
+}
+
 SecureService::SecureService(Placement placement, DeploymentConfig config)
     : placement_(std::move(placement)), config_(std::move(config)) {
   HIPCLOUD_CHECK(placement_.web.size() ==
@@ -33,20 +51,39 @@ SecureService::SecureService(Placement placement, DeploymentConfig config)
                  "placement must carry config.web_servers web VMs");
   const std::size_t webs = placement_.web.size();
 
+  // --- RSA keys --------------------------------------------------------------
+  // The DRBG label of every key the tiers below draw. HIP: the proxy's,
+  // then each web server's, then the DB's host identity. SSL: the CA's,
+  // the DB's, then each web server's certificate key. They are built side
+  // by side first, so each draw below finds its key in the memo.
+  std::vector<std::string> key_labels;
+  if (config_.mode == SecurityMode::kHip) {
+    key_labels.push_back(placement_.id_prefix + placement_.proxy_id);
+    for (std::size_t i = 0; i < webs; ++i) {
+      key_labels.push_back(placement_.id_prefix + "web" + std::to_string(i));
+    }
+    key_labels.push_back(placement_.id_prefix + "db");
+  } else if (config_.mode == SecurityMode::kSsl) {
+    key_labels = {"ca", "db-key"};
+    for (std::size_t i = 0; i < webs; ++i) {
+      key_labels.push_back("web-key" + std::to_string(i));
+    }
+  }
+  build_rsa_keys(config_.seed, key_labels);
+
   // --- HIP daemons (before anything opens sockets) --------------------------
   if (config_.mode == SecurityMode::kHip) {
-    const auto identity = [&](const std::string& name) {
-      return make_identity(config_.seed, placement_.id_prefix + name);
+    const auto identity = [&](std::size_t k) {
+      return make_identity(config_.seed, key_labels[k]);
     };
-    lb_hip_ = std::make_unique<hip::HipDaemon>(
-        placement_.proxy, identity(placement_.proxy_id), config_.hip);
+    lb_hip_ = std::make_unique<hip::HipDaemon>(placement_.proxy, identity(0),
+                                               config_.hip);
     for (std::size_t i = 0; i < webs; ++i) {
       web_hips_.push_back(std::make_unique<hip::HipDaemon>(
-          placement_.web[i]->node(), identity("web" + std::to_string(i)),
-          config_.hip));
+          placement_.web[i]->node(), identity(1 + i), config_.hip));
     }
-    db_hip_ = std::make_unique<hip::HipDaemon>(placement_.db->node(),
-                                               identity("db"), config_.hip);
+    db_hip_ = std::make_unique<hip::HipDaemon>(
+        placement_.db->node(), identity(1 + webs), config_.hip);
 
     // Populate the "hip hosts files": LB <-> web, web <-> db.
     for (std::size_t i = 0; i < webs; ++i) {
@@ -69,7 +106,7 @@ SecureService::SecureService(Placement placement, DeploymentConfig config)
   TransportConfig web_front;   // LB -> web
   TransportConfig db_transport;  // web -> db
   if (config_.mode == SecurityMode::kSsl) {
-    crypto::HmacDrbg ca_drbg(config_.seed, "ca");
+    crypto::HmacDrbg ca_drbg(config_.seed, key_labels[0]);
     ca_ = std::make_unique<tls::CertificateAuthority>("cloud-ca", ca_drbg);
     web_front.kind = TransportConfig::Kind::kTls;
     db_transport.kind = TransportConfig::Kind::kTls;
@@ -86,7 +123,7 @@ SecureService::SecureService(Placement placement, DeploymentConfig config)
   db_config.cache_hit_cycles = config_.db_cache_hit_cycles;
   db_config.transport = db_transport;
   if (config_.mode == SecurityMode::kSsl) {
-    crypto::HmacDrbg key_drbg(config_.seed, "db-key");
+    crypto::HmacDrbg key_drbg(config_.seed, key_labels[1]);
     const auto key = crypto::rsa_generate(key_drbg, 1024);
     db_config.transport.tls.certificate = ca_->issue("db", key.pub);
     db_config.transport.tls.private_key = key.priv;
@@ -102,7 +139,7 @@ SecureService::SecureService(Placement placement, DeploymentConfig config)
     TransportConfig db_cfg = db_transport;
     if (config_.mode == SecurityMode::kSsl) {
       serve_cfg.kind = TransportConfig::Kind::kTls;
-      crypto::HmacDrbg key_drbg(config_.seed, "web-key" + std::to_string(i));
+      crypto::HmacDrbg key_drbg(config_.seed, key_labels[2 + i]);
       const auto key = crypto::rsa_generate(key_drbg, 1024);
       serve_cfg.tls.certificate =
           ca_->issue("web" + std::to_string(i), key.pub);

@@ -24,6 +24,16 @@ enum class HipAddressing { kLsi, kHit };
 /// from a DRBG personalised by (seed, label).
 hip::HostIdentity make_identity(std::uint64_t seed, const std::string& label);
 
+/// Generate the `bits`-bit RSA key of a DRBG personalised by (seed, label)
+/// for every label, side by side on sim::sweep's threads (DESIGN.md §5b).
+/// The keys land in rsa_generate's memo, so a later draw from the same
+/// DRBG (make_identity, a CA, a TLS key) returns them byte for byte. Keys
+/// the memo already holds are skipped, and no thread starts unless at
+/// least two keys are missing. The first error is rethrown on the caller
+/// after every worker joins.
+void build_rsa_keys(std::uint64_t seed, const std::vector<std::string>& labels,
+                    std::size_t bits = 1024);
+
 /// Knobs of the Fig. 1 service that mean the same on every substrate.
 struct ServiceConfig {
   SecurityMode mode = SecurityMode::kHip;

@@ -64,18 +64,30 @@ struct Generated {
   HmacDrbg drbg_after;
 };
 
+// Key generation is a pure function of the DRBG state on entry and the
+// bit size, so those two are the memo's key (DESIGN.md §5b).
+const sim::Memo<Bytes, Generated>& key_memo() {
+  static const sim::Memo<Bytes, Generated> memo{};
+  return memo;
+}
+
+Bytes memo_key(const HmacDrbg& drbg, std::size_t bits) {
+  Bytes id = drbg.state();
+  append_be(id, bits, 8);
+  return id;
+}
+
 }  // namespace
+
+bool rsa_key_cached(const HmacDrbg& drbg, std::size_t bits) {
+  return key_memo().contains(memo_key(drbg, bits));
+}
 
 RsaKeyPair rsa_generate(HmacDrbg& drbg, std::size_t bits) {
   if (bits < 128 || bits % 2 != 0) {
     throw std::invalid_argument("rsa_generate: bits must be even and >= 128");
   }
-  // Key generation is a pure function of the DRBG state on entry and the
-  // bit size, so those two are the memo's key (DESIGN.md §5b).
-  static const sim::Memo<Bytes, Generated> memo{};
-  Bytes id = drbg.state();
-  append_be(id, bits, 8);
-  Generated g = memo.get(id, [&drbg, bits] {
+  Generated g = key_memo().get(memo_key(drbg, bits), [&drbg, bits] {
     HmacDrbg work = drbg;
     RsaKeyPair keys = generate_uncached(work, bits);
     return Generated{std::move(keys), std::move(work)};

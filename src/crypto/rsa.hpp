@@ -41,6 +41,11 @@ struct RsaKeyPair {
 /// same keys and advances `drbg` exactly as the first call did.
 RsaKeyPair rsa_generate(HmacDrbg& drbg, std::size_t bits);
 
+/// Whether rsa_generate(drbg, bits) would find its key in the memo, built
+/// or still being built by another thread. Never blocks and never draws
+/// from `drbg`.
+bool rsa_key_cached(const HmacDrbg& drbg, std::size_t bits);
+
 /// PKCS#1 v1.5 signature over SHA-256(message). Returns modulus-width bytes.
 Bytes rsa_sign_pkcs1(const RsaPrivateKey& key, BytesView message);
 

@@ -172,52 +172,101 @@ Bytes Sha256::digest(BytesView data) {
   return Bytes(d.begin(), d.end());
 }
 
-Bytes sha1(BytesView data) {
-  std::uint32_t h0 = 0x67452301, h1 = 0xEFCDAB89, h2 = 0x98BADCFE,
-                h3 = 0x10325476, h4 = 0xC3D2E1F0;
-  // Build the padded message (one-shot keeps this simple and is fine for
-  // HIT/puzzle-sized inputs).
-  Bytes m(data.begin(), data.end());
-  const std::uint64_t bit_len = static_cast<std::uint64_t>(m.size()) * 8;
-  m.push_back(0x80);
-  while (m.size() % 64 != 56) m.push_back(0);
-  for (int i = 0; i < 8; ++i) {
-    m.push_back(static_cast<std::uint8_t>(bit_len >> (8 * (7 - i))));
+namespace {
+
+using Sha1State = std::array<std::uint32_t, 5>;
+
+constexpr Sha1State kSha1Init = {0x67452301, 0xEFCDAB89, 0x98BADCFE,
+                                 0x10325476, 0xC3D2E1F0};
+
+inline std::uint32_t rotl(std::uint32_t x, int n) {
+  return (x << n) | (x >> (32 - n));
+}
+
+// One SHA-1 compression of the 64-byte block at `p` into `h`.
+void sha1_compress(Sha1State& h, const std::uint8_t* p) {
+  std::uint32_t w[80];
+  for (int i = 0; i < 16; ++i) {
+    w[i] = (std::uint32_t(p[4 * i]) << 24) |
+           (std::uint32_t(p[4 * i + 1]) << 16) |
+           (std::uint32_t(p[4 * i + 2]) << 8) | std::uint32_t(p[4 * i + 3]);
   }
-  auto rotl = [](std::uint32_t x, int n) {
-    return (x << n) | (x >> (32 - n));
-  };
-  for (std::size_t blk = 0; blk < m.size(); blk += 64) {
-    std::uint32_t w[80];
-    for (int i = 0; i < 16; ++i) {
-      const std::uint8_t* p = m.data() + blk + 4 * i;
-      w[i] = (std::uint32_t(p[0]) << 24) | (std::uint32_t(p[1]) << 16) |
-             (std::uint32_t(p[2]) << 8) | std::uint32_t(p[3]);
-    }
-    for (int i = 16; i < 80; ++i) {
-      w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-    }
-    std::uint32_t a = h0, b = h1, c = h2, d = h3, e = h4;
-    for (int i = 0; i < 80; ++i) {
-      std::uint32_t f, k;
-      if (i < 20) { f = (b & c) | (~b & d); k = 0x5A827999; }
-      else if (i < 40) { f = b ^ c ^ d; k = 0x6ED9EBA1; }
-      else if (i < 60) { f = (b & c) | (b & d) | (c & d); k = 0x8F1BBCDC; }
-      else { f = b ^ c ^ d; k = 0xCA62C1D6; }
-      const std::uint32_t tmp = rotl(a, 5) + f + e + k + w[i];
-      e = d; d = c; c = rotl(b, 30); b = a; a = tmp;
-    }
-    h0 += a; h1 += b; h2 += c; h3 += d; h4 += e;
+  for (int i = 16; i < 80; ++i) {
+    w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
   }
-  Bytes out(20);
-  const std::uint32_t hs[5] = {h0, h1, h2, h3, h4};
+  std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
+  for (int i = 0; i < 80; ++i) {
+    std::uint32_t f, k;
+    if (i < 20) { f = (b & c) | (~b & d); k = 0x5A827999; }
+    else if (i < 40) { f = b ^ c ^ d; k = 0x6ED9EBA1; }
+    else if (i < 60) { f = (b & c) | (b & d) | (c & d); k = 0x8F1BBCDC; }
+    else { f = b ^ c ^ d; k = 0xCA62C1D6; }
+    const std::uint32_t tmp = rotl(a, 5) + f + e + k + w[i];
+    e = d; d = c; c = rotl(b, 30); b = a; a = tmp;
+  }
+  h[0] += a; h[1] += b; h[2] += c; h[3] += d; h[4] += e;
+}
+
+Sha1Digest sha1_digest_of(const Sha1State& h) {
+  Sha1Digest out;
   for (int i = 0; i < 5; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(hs[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(hs[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(hs[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(hs[i]);
+    out[4 * i] = static_cast<std::uint8_t>(h[i] >> 24);
+    out[4 * i + 1] = static_cast<std::uint8_t>(h[i] >> 16);
+    out[4 * i + 2] = static_cast<std::uint8_t>(h[i] >> 8);
+    out[4 * i + 3] = static_cast<std::uint8_t>(h[i]);
   }
   return out;
+}
+
+// Appends FIPS 180-4 §5.1.1 padding for a `total`-byte message to the
+// `len` tail bytes already in `buf` (len < 64) and returns the padded
+// size: 64 bytes when len <= 55, else 128, which `buf` must hold.
+std::size_t sha1_pad(std::uint8_t* buf, std::size_t len, std::uint64_t total) {
+  buf[len++] = 0x80;
+  const std::size_t padded = len <= 56 ? 64 : 128;
+  std::memset(buf + len, 0, padded - 8 - len);
+  const std::uint64_t bit_len = total * 8;
+  for (int i = 0; i < 8; ++i) {
+    buf[padded - 8 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+  }
+  return padded;
+}
+
+}  // namespace
+
+Sha1Digest sha1(BytesView data) {
+  Sha1State h = kSha1Init;
+  const std::size_t whole = data.size() / 64 * 64;
+  for (std::size_t blk = 0; blk < whole; blk += 64) {
+    sha1_compress(h, data.data() + blk);
+  }
+  // The tail and its padding: one or two blocks on the stack.
+  std::uint8_t tail[128];
+  const std::size_t len = data.size() - whole;
+  if (len != 0) std::memcpy(tail, data.data() + whole, len);
+  const std::size_t padded = sha1_pad(tail, len, data.size());
+  for (std::size_t blk = 0; blk < padded; blk += 64) {
+    sha1_compress(h, tail + blk);
+  }
+  return sha1_digest_of(h);
+}
+
+Sha1Block sha1_pad_block(BytesView message) {
+  if (message.size() > 55) {
+    throw std::invalid_argument("sha1_pad_block: message over 55 bytes");
+  }
+  Sha1Block block;
+  if (!message.empty()) {
+    std::memcpy(block.data(), message.data(), message.size());
+  }
+  sha1_pad(block.data(), message.size(), message.size());
+  return block;
+}
+
+Sha1Digest sha1_block(const Sha1Block& block) {
+  Sha1State h = kSha1Init;
+  sha1_compress(h, block.data());
+  return sha1_digest_of(h);
 }
 
 }  // namespace hipcloud::crypto

@@ -79,8 +79,20 @@ class Sha256 {
   std::uint64_t total_len_ = 0;
 };
 
-/// SHA-1 (FIPS 180-1) — needed because HIPv1 (RFC 5201) derives HITs and
-/// puzzle digests with SHA-1. One-shot only; not for new designs.
-Bytes sha1(BytesView data);
+/// SHA-1 (FIPS 180-4) — needed because HIPv1 (RFC 5201) derives HITs and
+/// puzzle digests with SHA-1. One-shot only; not for new designs. None of
+/// the functions below allocates.
+using Sha1Digest = std::array<std::uint8_t, 20>;
+Sha1Digest sha1(BytesView data);
+
+/// A message of at most 55 bytes padded into its one SHA-1 block (FIPS
+/// 180-4 §5.1.1). A caller that hashes many messages of one length which
+/// differ in a few bytes (the HIP puzzle's J) pads once, rewrites those
+/// bytes in place and hashes the block each time with sha1_block().
+using Sha1Block = std::array<std::uint8_t, 64>;
+/// Throws std::invalid_argument above 55 bytes.
+Sha1Block sha1_pad_block(BytesView message);
+/// sha1() of the message padded into `block`: a single compression.
+Sha1Digest sha1_block(const Sha1Block& block);
 
 }  // namespace hipcloud::crypto

@@ -1,6 +1,7 @@
 #include "hip/daemon.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "sim/check.hpp"
@@ -109,6 +110,10 @@ HipDaemon::HipDaemon(net::Node* node, HostIdentity identity, HipConfig config)
                           crypto::BytesView(identity_.hit().bytes().data(),
                                             16)}))),
       dh_(config.dh_group, drbg_) {
+  if (config_.puzzle_difficulty > kMaxPuzzleDifficulty) {
+    throw std::invalid_argument("HipDaemon: puzzle_difficulty above " +
+                                std::to_string(kMaxPuzzleDifficulty));
+  }
   puzzle_i_ = crypto::read_be(drbg_.generate(8), 0, 8);
 
   // Own the HIT and local LSI as virtual addresses.
@@ -706,7 +711,8 @@ std::uint8_t HipDaemon::current_puzzle_difficulty() const {
       threshold *= 2;
       ++extra;
     }
-    k = static_cast<std::uint8_t>(std::min(30.0, k + extra));
+    k = static_cast<std::uint8_t>(
+        std::min(static_cast<double>(kMaxPuzzleDifficulty), k + extra));
   }
   return k;
 }
@@ -842,6 +848,14 @@ void HipDaemon::handle_r1(const HipMessage& msg, const Packet& pkt) {
   }
   const auto puzzle = decode_puzzle(*puzzle_param);
   if (!puzzle) return;
+  // K comes off the wire, and solving costs ~2^K hashes on this host:
+  // refuse a puzzle above the bound before any other work. The retry
+  // timer stays armed, so the BEX retries and fails if every R1 asks
+  // too much.
+  if (puzzle->difficulty_k > kMaxPuzzleDifficulty) {
+    ++stats_.puzzle_too_hard;
+    return;
+  }
 
   // Update locator to wherever R1 actually came from (rendezvous case).
   assoc->peer_locator = pkt.src;

@@ -22,10 +22,12 @@ namespace hipcloud::hip {
 struct HipConfig {
   EspSuite esp_suite = EspSuite::kAes128CtrSha256;
   crypto::DhGroup dh_group = crypto::DhGroup::kModp1536;
-  /// Responder puzzle difficulty K (bits); 0 disables the puzzle.
+  /// Responder puzzle difficulty K (bits); 0 disables the puzzle. At most
+  /// kMaxPuzzleDifficulty, or the daemon refuses to construct.
   std::uint8_t puzzle_difficulty = 10;
   /// Raise K under I1 load (HIP's DoS defence, paper §IV-B): adds
-  /// log2(r1_rate / adaptive_threshold_rps) bits, capped at +10.
+  /// log2(r1_rate / adaptive_threshold_rps) bits, capped at +10 and at
+  /// kMaxPuzzleDifficulty.
   bool adaptive_puzzle = false;
   double adaptive_threshold_rps = 50.0;
   /// BEX retransmission (I1/I2 timer).
@@ -147,6 +149,9 @@ class HipDaemon {
     std::uint64_t auth_failures = 0;
     std::uint64_t updates_processed = 0;
     std::uint64_t r1_sent = 0;
+    /// R1s dropped unsolved because their puzzle asked for more than
+    /// kMaxPuzzleDifficulty bits.
+    std::uint64_t puzzle_too_hard = 0;
     /// Outbound packets discarded because the pre-BEX pending queue was
     /// full, and packets thrown away when an association failed or was
     /// torn down with traffic still queued.

@@ -33,7 +33,7 @@ HostIdentity HostIdentity::generate(crypto::HmacDrbg& drbg, HiAlgorithm algo,
 net::Ipv6Addr HostIdentity::derive_hit(BytesView public_encoding) {
   // RFC 4843 ORCHID: 28-bit prefix 2001:10::/28 followed by 100 bits of
   // hash output. HIPv1 (RFC 5201) uses SHA-1 as the ORCHID hash.
-  const Bytes digest = crypto::sha1(public_encoding);
+  const crypto::Sha1Digest digest = crypto::sha1(public_encoding);
   std::array<std::uint8_t, 16> b{};
   b[0] = 0x20;
   b[1] = 0x01;

@@ -50,6 +50,14 @@ class Memo {
     return entry.get();
   }
 
+  /// Whether get(key, ...) would find an entry, built or still being
+  /// built, without waiting for it: lets a caller skip starting work that
+  /// get() would not repeat.
+  bool contains(const Key& key) const HIPCLOUD_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return entries_.count(key) != 0;
+  }
+
  private:
   mutable Mutex mu_;
   mutable std::map<Key, std::shared_future<Value>> entries_

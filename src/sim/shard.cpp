@@ -36,7 +36,7 @@ std::size_t ShardCoordinator::add_shard(EventLoop* loop) {
   HIPCLOUD_CHECK(inbox_pending() == 0,
                  "add_shard after cross-shard events were posted");
   inboxes_.clear();
-  inboxes_.resize(n * n);
+  inboxes_.resize(2 * n * n);
   drain_scratch_.resize(n);
   post_seq_.assign(n, 0);
   pair_lookahead_.assign(n * n, -1);
@@ -90,13 +90,14 @@ void ShardCoordinator::post(std::size_t src, std::size_t dst, Time when,
   HIPCLOUD_CHECK(src < n && dst < n, "cross-shard post outside the world");
   HIPCLOUD_CHECK(!registered_only_ || pair_lookahead_[src * n + dst] >= 0,
                  "cross-shard post on an unregistered seam");
-  Inbox& cell = inboxes_[src * n + dst];
-  cell.events.push_back(CrossEvent{when, post_seq_[src]++, std::move(fn)});
+  Inbox& c = cell(write_parity_, src, dst);
+  c.events.push_back(CrossEvent{when, post_seq_[src]++, std::move(fn)});
+  c.min_when = std::min(c.min_when, when);
 }
 
 std::size_t ShardCoordinator::inbox_pending() const {
   std::size_t total = 0;
-  for (const Inbox& cell : inboxes_) total += cell.events.size();
+  for (const Inbox& c : inboxes_) total += c.events.size();
   return total;
 }
 
@@ -114,14 +115,16 @@ PerfCounters ShardCoordinator::merged_perf() const {
   return merged;
 }
 
-// hipcheck:seam — the sanctioned barrier-phase inbox drain: both barrier
-// crossings between a post and this drain give the happens-before edge.
+// hipcheck:seam — the sanctioned inbox drain at the top of a round: the
+// barrier crossed between a post and this drain gives the happens-before
+// edge, and the parity flip keeps every writer out of the read cells.
 void ShardCoordinator::drain_into(std::size_t dst) {
   const std::size_t n = shards_.size();
+  const unsigned read_parity = write_parity_ ^ 1u;
   std::vector<DrainRef>& batch = drain_scratch_[dst];
   batch.clear();
   for (std::size_t src = 0; src < n; ++src) {
-    for (CrossEvent& e : inboxes_[src * n + dst].events) {
+    for (CrossEvent& e : cell(read_parity, src, dst).events) {
       batch.push_back(
           DrainRef{e.when, static_cast<std::uint32_t>(src), e.post_idx, &e});
     }
@@ -143,7 +146,9 @@ void ShardCoordinator::drain_into(std::size_t dst) {
     loop->schedule_cross(r.when, r.src, r.post_idx, std::move(r.event->fn));
   }
   for (std::size_t src = 0; src < n; ++src) {
-    inboxes_[src * n + dst].events.clear();
+    Inbox& c = cell(read_parity, src, dst);
+    c.events.clear();
+    c.min_when = kInfTime;
   }
 }
 
@@ -155,12 +160,13 @@ void ShardCoordinator::record_failure() {
 }
 
 // hipcheck:seam — barrier-completion step: every worker is parked, so the
-// shared round state (horizons_, lbts_, the schedule counters) has exactly
-// one running writer and the barrier release publishes it.
+// shared round state (horizons_, lbts_, write parity, schedule counters)
+// has exactly one running writer and the barrier release publishes it.
 void ShardCoordinator::compute_horizons(Time until, bool& done) {
   const std::size_t n = shards_.size();
   // l(i) starts at next(i): the earliest pending work for shard i, from
-  // its own heap or from undrained inbox posts addressed to it. These
+  // its own heap or from the undrained posts addressed to it, which all
+  // sit in write cells (the read cells were drained this round). These
   // are the committed clocks' forward projections published at this
   // barrier — every shard's loop is parked, so the reads are exact.
   Time global_min = kInfTime;
@@ -170,9 +176,7 @@ void ShardCoordinator::compute_horizons(Time until, bool& done) {
   }
   for (std::size_t src = 0; src < n; ++src) {
     for (std::size_t dst = 0; dst < n; ++dst) {
-      for (const CrossEvent& e : inboxes_[src * n + dst].events) {
-        if (e.when < lbts_[dst]) lbts_[dst] = e.when;
-      }
+      lbts_[dst] = std::min(lbts_[dst], cell(write_parity_, src, dst).min_when);
     }
   }
   for (const Time t : lbts_) global_min = std::min(global_min, t);
@@ -227,6 +231,8 @@ void ShardCoordinator::compute_horizons(Time until, bool& done) {
     }
   }
 
+  // The posts just read become the next round's drain.
+  write_parity_ ^= 1u;
   ++epochs_;
   for (std::size_t i = 0; i < n; ++i) {
     const Time h = horizons_[i];
@@ -269,6 +275,21 @@ std::size_t ShardCoordinator::run(Time until, unsigned workers) {
   failed_.store(false, std::memory_order_relaxed);
   first_failure_ = nullptr;
 
+  // The first horizon step reads only write cells. A run ended by a
+  // failure can leave posts in read cells its last round never drained;
+  // move them over (the drain sorts, so their order does not matter).
+  for (std::size_t src = 0; src < n; ++src) {
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      Inbox& stale = cell(write_parity_ ^ 1u, src, dst);
+      if (stale.events.empty()) continue;
+      Inbox& live = cell(write_parity_, src, dst);
+      for (CrossEvent& e : stale.events) live.events.push_back(std::move(e));
+      live.min_when = std::min(live.min_when, stale.min_when);
+      stale.events.clear();
+      stale.min_when = kInfTime;
+    }
+  }
+
   std::uint64_t fired_before = 0;
   for (const EventLoop* loop : shards_) fired_before += loop->perf().events_fired;
 
@@ -284,45 +305,26 @@ std::size_t ShardCoordinator::run(Time until, unsigned workers) {
     compute_horizons(until, done);
   };
 
-  std::barrier drain_gate(static_cast<std::ptrdiff_t>(workers));
   std::barrier sync(static_cast<std::ptrdiff_t>(workers), advance);
 
   advance();  // compute the first round's horizons before any worker exists
 
   auto worker_main = [&](unsigned w) {
-    // Audited shared reads in this loop: `done` and horizons_ are written
-    // only by the barrier completion (advance) while every worker is
-    // parked, and the barrier release sequences those writes before the
-    // reads below — plain loads are race-free. failed_ and
-    // barrier_wait_ns_ are relaxed atomics by design (flag and counter;
-    // no data rides on their ordering).
+    // Audited shared reads in this loop: `done`, horizons_ and the write
+    // parity are written only by the barrier completion (advance) while
+    // every worker is parked, and the barrier release sequences those
+    // writes before the reads below — plain loads are race-free. failed_
+    // and barrier_wait_ns_ are relaxed atomics by design (flag and
+    // counter; no data rides on their ordering).
     while (!done) {
-      // Phase A: drain inboxes filled during the previous round. The
-      // drain_gate keeps phase-B posts (into cells another worker may
-      // still be draining) from starting early.
-      if (!failed_.load(std::memory_order_relaxed)) {
-        try {
-          for (std::size_t s = w; s < n; s += workers) drain_into(s);
-        } catch (...) {
-          record_failure();
-        }
-      }
-      // hipcheck:allow(wall-clock): barrier-wait telemetry; never feeds sim state
-      const auto wait_a = std::chrono::steady_clock::now();
-      drain_gate.arrive_and_wait();
-      barrier_wait_ns_.fetch_add(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  // hipcheck:allow(wall-clock): barrier-wait telemetry; never feeds sim state
-                  std::chrono::steady_clock::now() - wait_a)
-                  .count()),
-          std::memory_order_relaxed);
-      // Phase B: run each owned shard's loop to its own horizon. Static
-      // id-striped ownership: assignment affects only wall time, never
-      // what any shard executes.
+      // Drain each owned shard's read cells (posted during the previous
+      // round; nobody writes them this round), then run its loop to its
+      // own horizon. Static id-striped ownership: assignment affects only
+      // wall time, never what any shard executes.
       if (!failed_.load(std::memory_order_relaxed)) {
         try {
           for (std::size_t s = w; s < n; s += workers) {
+            drain_into(s);
             Log::set_shard_id(static_cast<int>(s));
             shards_[s]->run(horizons_[s]);
           }
@@ -332,13 +334,13 @@ std::size_t ShardCoordinator::run(Time until, unsigned workers) {
         Log::set_shard_id(-1);
       }
       // hipcheck:allow(wall-clock): barrier-wait telemetry; never feeds sim state
-      const auto wait_b = std::chrono::steady_clock::now();
+      const auto wait = std::chrono::steady_clock::now();
       sync.arrive_and_wait();  // completion computes the next horizons
       barrier_wait_ns_.fetch_add(
           static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(
                   // hipcheck:allow(wall-clock): barrier-wait telemetry; never feeds sim state
-                  std::chrono::steady_clock::now() - wait_b)
+                  std::chrono::steady_clock::now() - wait)
                   .count()),
           std::memory_order_relaxed);
     }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
+#include <limits>
 #include <vector>
 
 #include "sim/event_loop.hpp"
@@ -33,18 +34,25 @@ namespace hipcloud::sim {
 /// at all. `set_adaptive(false)` reverts to the PR-7 global-min epoch
 /// rule for ablation; both modes produce byte-identical hashes.
 ///
-/// Cross-shard traffic flows through per-(src,dst) inboxes:
+/// Cross-shard traffic flows through per-(src,dst) inboxes, two cells
+/// per pair selected by epoch parity, and each round crosses one barrier:
 ///
 ///  - During a round, a shard posts a cross-shard event with post():
-///    an absolute firing time plus a callback. Each (src,dst) cell has
+///    an absolute firing time plus a callback, appended to the pair's
+///    *write* cell, whose minimum post time it lowers. Each write cell has
 ///    exactly one writer (the source shard's worker), so appends are
 ///    plain vector pushes — no locks, no atomics.
-///  - At the barrier, each destination drains the cells addressed to it,
-///    sorts the entries by (when, src shard, source post index), and
-///    schedules them into its own loop via EventLoop::schedule_cross,
-///    which stamps the entry with a (src, post index) identity fixed at
-///    post time. The two barrier crossings between a post and its drain
-///    give the happens-before edge.
+///  - The barrier completion computes the next horizons from every
+///    loop's next_event_time() and the write cells' minima (n² reads, no
+///    scan of the posts), then flips the parity: this round's write cells
+///    become the next round's read cells.
+///  - At the top of the next round, each worker drains the read cells
+///    addressed to its shards, sorts the entries by (when, src shard,
+///    source post index) and schedules them into the destination loop
+///    via EventLoop::schedule_cross, which stamps the entry with a (src,
+///    post index) identity fixed at post time; then it runs each shard to
+///    its horizon. The barrier between a post and its drain gives the
+///    happens-before edge, and nobody writes a read cell while it drains.
 ///
 /// Determinism: the shard partition is part of the world's topology, and
 /// nothing in the horizon computation, drain order, or per-loop event
@@ -130,8 +138,8 @@ class ShardCoordinator {
   /// 0.895x at 8 workers before the clamp).
   static constexpr std::size_t kAutoEventsPerWorker = 2048;
 
-  /// Cross-shard events still waiting in inboxes (only meaningful between
-  /// runs; exposed for tests).
+  /// Cross-shard events still waiting in inboxes, in either parity cell
+  /// (only meaningful between runs; exposed for tests).
   std::size_t inbox_pending() const;
 
   /// Barrier rounds executed across all runs so far. A pure function of
@@ -139,8 +147,8 @@ class ShardCoordinator {
   /// denominator of the events-per-epoch bench column.
   std::uint64_t epochs() const { return epochs_; }
 
-  /// Total wall-clock nanoseconds workers spent parked at the two
-  /// barriers, summed across workers and runs. Telemetry only (never
+  /// Total wall-clock nanoseconds workers spent parked at the round
+  /// barrier, summed across workers and runs. Telemetry only (never
   /// feeds simulation state or the hash): the BENCH_scale.json
   /// barrier-wait column showing what the adaptive horizon saves.
   std::uint64_t barrier_wait_ns() const {
@@ -163,9 +171,11 @@ class ShardCoordinator {
     std::uint64_t post_idx;  // per-source posting counter: drain tiebreak
     InlineFn fn;
   };
-  /// One single-writer mailbox per (src,dst) shard pair.
+  /// One single-writer mailbox cell per (src,dst) shard pair and parity.
   struct Inbox {
     std::vector<CrossEvent> events;
+    /// Earliest `when` in `events`; the largest Time while it is empty.
+    Time min_when = std::numeric_limits<Time>::max();
   };
   /// A drained inbox entry, sorted by (when, src, post_idx) in place of
   /// the entry itself.
@@ -184,13 +194,20 @@ class ShardCoordinator {
   /// ablation's epoch length (and the PR-7 behavior).
   Duration min_effective_lookahead() const;
   void compute_horizons(Time until, bool& done);
+  /// The cell of (src,dst) at `parity`.
+  Inbox& cell(unsigned parity, std::size_t src, std::size_t dst) {
+    const std::size_t n = shards_.size();
+    return inboxes_[(parity * n + src) * n + dst];
+  }
   void drain_into(std::size_t dst);
   void record_failure() HIPCLOUD_EXCLUDES(failure_mu_);
 
   std::vector<EventLoop*> shards_;
-  // Single-writer mailbox cells: inboxes_[src * n + dst] and
-  // post_seq_[src] are appended only by src's worker during a round, so
-  // the ownership analyzer treats them as confined to the posting shard.
+  // Single-writer mailbox cells, addressed through cell(parity, src,
+  // dst). During a round the write cell of (src,dst) and post_seq_[src]
+  // are appended only by src's worker, and the read cell of (src,dst) is
+  // drained only by dst's worker, so the ownership analyzer treats them
+  // as confined to one shard at a time.
   std::vector<Inbox> inboxes_;            // hipcheck:shard_owned
   std::vector<std::uint64_t> post_seq_;   // hipcheck:shard_owned
   // drain_into's reused batch, one per destination; drain_scratch_[dst]
@@ -207,6 +224,10 @@ class ShardCoordinator {
   // shard i runs to this round (-1: unconstrained, run to drain).
   std::vector<Time> horizons_;  // hipcheck:shard_shared
   std::vector<Time> lbts_;      // hipcheck:shard_shared — fixed-point scratch
+
+  // The parity whose cells post() appends to; flipped only by the
+  // barrier completion once it has read the write cells' minima.
+  unsigned write_parity_ = 0;   // hipcheck:shard_shared
 
   // Deterministic schedule counters (see epochs()); barrier-published
   // like the horizons above.

@@ -2,8 +2,45 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "crypto/drbg.hpp"
+#include "crypto/rsa.hpp"
+
 namespace hipcloud::core {
 namespace {
+
+TEST(BuildRsaKeys, FillsTheMemoWithTheKeysTheLabelsDraw) {
+  // A seed no other test uses, so every key starts cold.
+  constexpr std::uint64_t kSeed = 0x6b657973;
+  const std::vector<std::string> labels{"keys:a", "keys:b", "keys:c"};
+  for (const std::string& label : labels) {
+    EXPECT_FALSE(crypto::rsa_key_cached(crypto::HmacDrbg(kSeed, label), 512));
+  }
+  build_rsa_keys(kSeed, labels, 512);
+  for (const std::string& label : labels) {
+    EXPECT_TRUE(crypto::rsa_key_cached(crypto::HmacDrbg(kSeed, label), 512))
+        << label;
+  }
+  // Built concurrently or not, a key is the pure function of its DRBG:
+  // the same label and seed give the same key, other labels other keys.
+  crypto::HmacDrbg a1(kSeed, "keys:a");
+  crypto::HmacDrbg a2(kSeed, "keys:a");
+  crypto::HmacDrbg b(kSeed, "keys:b");
+  const auto ka = crypto::rsa_generate(a1, 512);
+  EXPECT_EQ(ka.pub, crypto::rsa_generate(a2, 512).pub);
+  EXPECT_NE(ka.pub, crypto::rsa_generate(b, 512).pub);
+  EXPECT_EQ(a1.state(), a2.state());
+}
+
+TEST(BuildRsaKeys, AFailingBuildRethrowsOnTheCaller) {
+  // rsa_generate refuses odd sizes; the error of a concurrent build must
+  // surface here, after the workers are gone.
+  EXPECT_THROW(build_rsa_keys(0x6b657974, {"bad:a", "bad:b", "bad:c"}, 511),
+               std::invalid_argument);
+}
 
 class ModeTest : public ::testing::TestWithParam<SecurityMode> {
  protected:

@@ -134,16 +134,21 @@ INSTANTIATE_TEST_SUITE_P(
                     .revivals = 2}),
     fault_golden_name);
 
-class ShardedGolden : public ::testing::TestWithParam<Golden> {};
+struct ShardedRun {
+  apps::LoadReport report;
+  sim::PerfCounters perf;
+  std::uint64_t esp = 0;
+};
 
-TEST_P(ShardedGolden, HashCompletedAndEspArePinned) {
+/// The small 4-rack ShardedService world, run on `workers` threads.
+ShardedRun run_sharded(SecurityMode mode, unsigned workers) {
   cloud::FabricConfig fcfg;
   fcfg.racks = 4;
   fcfg.hosts_per_rack = 1;
   fcfg.vms_per_host = 1;
   cloud::ShardedFabric fabric(fcfg);
   ShardedServiceConfig scfg;
-  scfg.mode = GetParam().mode;
+  scfg.mode = mode;
   scfg.dataset.items = 100;
   scfg.dataset.users = 30;
   scfg.dataset.bids = 200;
@@ -151,14 +156,35 @@ TEST_P(ShardedGolden, HashCompletedAndEspArePinned) {
   scfg.duration = sim::kSecond;
   ShardedService service(fabric, scfg);
   service.prepare();
-  fabric.run(sim::kSecond, 1);
+  fabric.run(sim::kSecond, workers);
   service.start_clients();
-  fabric.run(4 * sim::kSecond, 1);
-  const auto report = service.report();
-  EXPECT_EQ(report.errors, 0u);
-  EXPECT_EQ(fabric.world_hash(), GetParam().hash);
-  EXPECT_EQ(report.completed, GetParam().completed);
-  EXPECT_EQ(service.total_esp_packets(), GetParam().esp);
+  fabric.run(4 * sim::kSecond, workers);
+  return {service.report(), fabric.merged_perf(), service.total_esp_packets()};
+}
+
+class ShardedGolden : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(ShardedGolden, HashCompletedAndEspArePinned) {
+  const ShardedRun run = run_sharded(GetParam().mode, 1);
+  EXPECT_EQ(run.report.errors, 0u);
+  EXPECT_EQ(run.perf.determinism_hash, GetParam().hash);
+  EXPECT_EQ(run.report.completed, GetParam().completed);
+  EXPECT_EQ(run.esp, GetParam().esp);
+}
+
+// The coordinator's slicing of the HIP world, pinned beside its hash.
+// Epochs, strides and stride time are pure functions of the schedule, so
+// a change to how rounds are crossed (barriers, drains, horizons) must
+// reproduce them exactly at every worker count.
+TEST(ShardedSchedule, HipEpochsStridesAndHashArePinnedAtEveryWorkerCount) {
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    const ShardedRun run = run_sharded(SecurityMode::kHip, workers);
+    EXPECT_EQ(run.perf.determinism_hash, 0xb5e89cbc2db8c2fcULL)
+        << "workers=" << workers;
+    EXPECT_EQ(run.perf.shard_epochs, 7114u) << "workers=" << workers;
+    EXPECT_EQ(run.perf.shard_strides, 28456u) << "workers=" << workers;
+    EXPECT_EQ(run.perf.shard_stride_ns, 4132051528u) << "workers=" << workers;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

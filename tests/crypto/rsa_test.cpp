@@ -217,5 +217,20 @@ TEST(RsaMemo, ConcurrentRequestsShareOneKey) {
   }
 }
 
+TEST(RsaMemo, ProbeSeesAKeyOnlyOnceItIsBuiltAndNeverDraws) {
+  const HmacDrbg fresh(24, "memo-probe");
+  EXPECT_FALSE(rsa_key_cached(fresh, 512));
+  const Generation built = generate_and_draw(24, "memo-probe", 512);
+  EXPECT_TRUE(rsa_key_cached(fresh, 512));
+  EXPECT_FALSE(rsa_key_cached(fresh, 768));  // the bit size is in the key
+  // Probing left the DRBG where it was: a draw from it still hits the
+  // same entry and continues the same stream.
+  HmacDrbg probed(24, "memo-probe");
+  EXPECT_TRUE(rsa_key_cached(probed, 512));
+  EXPECT_EQ(probed.state(), fresh.state());
+  const RsaKeyPair kp = rsa_generate(probed, 512);
+  expect_same(built, {kp, probed.generate(32)});
+}
+
 }  // namespace
 }  // namespace hipcloud::crypto

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+
 #include "crypto/bytes.hpp"
 
 namespace hipcloud::crypto {
@@ -81,6 +84,46 @@ TEST(Sha1, LongerVector) {
   EXPECT_EQ(to_hex(sha1(to_bytes(
                 "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
             "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+}
+
+// FIPS 180 vectors through the one-block path the HIP puzzle uses.
+TEST(Sha1, OneBlockPathMatchesFipsVectors) {
+  EXPECT_EQ(to_hex(sha1_block(sha1_pad_block({}))),
+            "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  EXPECT_EQ(to_hex(sha1_block(sha1_pad_block(to_bytes("abc")))),
+            "a9993e364706816aba3e25717850c26c9cd0d89d");
+  // Every length that fits one block agrees with the general path, and
+  // rewriting bytes in place hashes the rewritten message.
+  Bytes msg;
+  for (std::size_t len = 0; len <= 55; ++len) {
+    EXPECT_EQ(sha1_block(sha1_pad_block(msg)), sha1(msg)) << len;
+    msg.push_back(static_cast<std::uint8_t>(len * 7));
+  }
+  Sha1Block block = sha1_pad_block(to_bytes("abd"));
+  block[2] = 'c';
+  EXPECT_EQ(to_hex(sha1_block(block)),
+            "a9993e364706816aba3e25717850c26c9cd0d89d");
+  EXPECT_THROW(sha1_pad_block(Bytes(56, 'a')), std::invalid_argument);
+}
+
+// Lengths around the block and padding boundaries (55/56: the length
+// field still fits or needs a second block; 64/119/120/128: whole
+// blocks plus a tail), and the FIPS 180 million-'a' message.
+TEST(Sha1, BlockAndPaddingBoundaries) {
+  const std::pair<std::size_t, const char*> vectors[] = {
+      {55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"},
+      {56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"},
+      {63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5"},
+      {64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"},
+      {65, "11655326c708d70319be2610e8a57d9a5b959d3b"},
+      {119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56"},
+      {120, "f34c1488385346a55709ba056ddd08280dd4c6d6"},
+      {128, "ad5b3fdbcb526778c2839d2f151ea753995e26a0"},
+      {1000000, "34aa973cd4c4daa4f61eeb2bdbad27316534016f"},
+  };
+  for (const auto& [len, digest] : vectors) {
+    EXPECT_EQ(to_hex(sha1(Bytes(len, 'a'))), digest) << len;
+  }
 }
 
 }  // namespace

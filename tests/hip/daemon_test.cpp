@@ -229,6 +229,93 @@ TEST(HipDaemon, PuzzleDifficultySlowsBex) {
   EXPECT_GT(hard_latency, easy_latency * 2);
 }
 
+/// A responder that answers every I1 with a well-formed, correctly signed
+/// R1 whose puzzle asks for `k` bits: the hostile (or misconfigured)
+/// peer an initiator must not trust with its CPU.
+struct HardPuzzleResponder {
+  net::Node* node;
+  HostIdentity identity = make_identity("hard-responder");
+  std::uint8_t k;
+  int r1_sent = 0;
+
+  HardPuzzleResponder(const HardPuzzleResponder&) = delete;
+  HardPuzzleResponder& operator=(const HardPuzzleResponder&) = delete;
+  HardPuzzleResponder(net::Node* n, std::uint8_t difficulty)
+      : node(n), k(difficulty) {
+    node->register_protocol(net::IpProto::kHip, [this](net::Packet&& pkt) {
+      const HipMessage i1 = HipMessage::parse(pkt.payload);
+      if (i1.type != MsgType::kI1) return;
+      HipMessage r1;
+      r1.type = MsgType::kR1;
+      r1.sender_hit = identity.hit();
+      r1.receiver_hit = i1.sender_hit;
+      Bytes puzzle{k};
+      crypto::append_be(puzzle, 0x1234, 8);
+      r1.set_param(ParamType::kPuzzle, std::move(puzzle));
+      r1.set_param(ParamType::kDiffieHellman,
+                   Bytes{static_cast<std::uint8_t>(crypto::DhGroup::kModp1536),
+                         2});
+      r1.set_param(
+          ParamType::kHipCipher,
+          Bytes{static_cast<std::uint8_t>(EspSuite::kAes128CtrSha256)});
+      r1.set_param(ParamType::kHostId, identity.public_encoding());
+      r1.set_param(ParamType::kSignature, identity.sign(r1.signed_view()));
+      net::Packet reply;
+      reply.src = pkt.dst;
+      reply.dst = pkt.src;
+      reply.proto = net::IpProto::kHip;
+      reply.payload = r1.serialize();
+      reply.stamp_l3_overhead();
+      ++r1_sent;
+      node->send(std::move(reply));
+    });
+  }
+};
+
+TEST(HipDaemon, InitiatorDropsR1AboveTheDifficultyBound) {
+  // K = 40 would cost the initiator ~2^40 host-side SHA-1s, so a world
+  // with such a peer would never finish. Each R1 above the bound is
+  // dropped unsolved and counted; the retry path then fails the BEX.
+  for (const int k : {kMaxPuzzleDifficulty + 1, 40, 255}) {
+    net::Network net{42};
+    net::Node* a = net.add_node("host-a", 3e9);
+    net::Node* b = net.add_node("host-b", 3e9);
+    const auto link = net.connect(a, b, LinkConfig{});
+    a->add_address(link.iface_a, Ipv4Addr(10, 0, 1, 1));
+    b->add_address(link.iface_b, Ipv4Addr(10, 0, 1, 2));
+    a->set_default_route(link.iface_a);
+    b->set_default_route(link.iface_b);
+    HardPuzzleResponder responder(b, static_cast<std::uint8_t>(k));
+    const HipConfig cfg;
+    HipDaemon ha(a, make_identity("a"), cfg);
+    ha.add_peer(responder.identity.hit(), IpAddr(Ipv4Addr(10, 0, 1, 2)));
+    ha.initiate(responder.identity.hit());
+    net.loop().run();
+    EXPECT_EQ(ha.state(responder.identity.hit()), AssocState::kFailed)
+        << "K=" << k;
+    EXPECT_EQ(ha.stats().bex_failed, 1u) << "K=" << k;
+    EXPECT_EQ(ha.stats().auth_failures, 0u) << "K=" << k;
+    // The first I1 and every retry drew an R1; each was refused.
+    EXPECT_EQ(responder.r1_sent, cfg.bex_max_retries + 1) << "K=" << k;
+    EXPECT_EQ(ha.stats().puzzle_too_hard,
+              static_cast<std::uint64_t>(responder.r1_sent))
+        << "K=" << k;
+  }
+}
+
+TEST(HipDaemon, RefusesToConstructAboveTheDifficultyBound) {
+  net::Network net{42};
+  net::Node* n = net.add_node("host", 3e9);
+  HipConfig at_bound;
+  at_bound.puzzle_difficulty = kMaxPuzzleDifficulty;
+  EXPECT_NO_THROW(HipDaemon(n, make_identity("bound"), at_bound));
+  net::Node* m = net.add_node("host-2", 3e9);
+  HipConfig above;
+  above.puzzle_difficulty = kMaxPuzzleDifficulty + 1;
+  EXPECT_THROW(HipDaemon(m, make_identity("above"), above),
+               std::invalid_argument);
+}
+
 TEST(HipDaemon, AdaptivePuzzleRaisesDifficultyUnderLoad) {
   HipConfig cfg;
   cfg.puzzle_difficulty = 4;

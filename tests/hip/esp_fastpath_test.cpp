@@ -20,6 +20,8 @@
 #include "crypto/bytes.hpp"
 #include "crypto/sha_mb.hpp"
 #include "hip/esp.hpp"
+#include "hip/identity.hpp"
+#include "hip/puzzle.hpp"
 
 // --- counting allocator (whole-binary, gated by a flag) ---------------------
 
@@ -303,6 +305,28 @@ TEST(EspFastPath, UnprotectMakesAtMostTwoHeapAllocations) {
         << esp_suite_name(suite) << ": unprotect() exceeded the per-packet "
         << "allocation budget";
   }
+}
+
+// The counting allocator above also covers the BEX's SHA-1 work: the
+// puzzle hashes one stack block per attempt (about 1,024 attempts per
+// BEX at K = 10), and HIT derivation pads its tail on the stack.
+TEST(HipSha1Path, PuzzleAndHitDerivationMakeNoHeapAllocation) {
+  const net::Ipv6Addr hit_i = net::Ipv6Addr::parse("2001:10::1");
+  const net::Ipv6Addr hit_r = net::Ipv6Addr::parse("2001:10::2");
+  const Puzzle puzzle{10, 0xfeed};
+  const Bytes host_identity(160, 0x42);
+
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  const Puzzle::Solution solution = puzzle.solve(hit_i, hit_r);
+  const bool verified = puzzle.verify(hit_i, hit_r, solution.j);
+  const net::Ipv6Addr hit = HostIdentity::derive_hit(host_identity);
+  g_count_allocs.store(false);
+
+  EXPECT_EQ(g_alloc_count.load(), 0u);
+  EXPECT_GT(solution.attempts, 1u);
+  EXPECT_TRUE(verified);
+  EXPECT_EQ(hit.bytes()[0], 0x20);
 }
 
 }  // namespace

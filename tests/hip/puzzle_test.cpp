@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "crypto/sha256.hpp"
+
 namespace hipcloud::hip {
 namespace {
 
@@ -51,6 +55,48 @@ TEST(Puzzle, AttemptsScaleWithDifficulty) {
   EXPECT_GT(avg10, avg4 * 8);  // 2^6 = 64x expected; 8x is a safe bound
   const Puzzle p10{10, 0};
   EXPECT_DOUBLE_EQ(p10.expected_attempts(), 1024.0);
+}
+
+TEST(Puzzle, SolutionMatchesAPlainSha1Search) {
+  // The solver hashes one padded block and rewrites only J; a search
+  // over the full input through the general SHA-1 must find the same J
+  // after the same number of attempts.
+  for (const std::uint8_t k : {1, 6, 10}) {
+    const Puzzle puzzle{k, 0x0123456789abcdefULL};
+    std::uint64_t j = 0;
+    for (;; ++j) {
+      crypto::Bytes input;
+      crypto::append_be(input, puzzle.random_i, 8);
+      input.insert(input.end(), kHitI.bytes().begin(), kHitI.bytes().end());
+      input.insert(input.end(), kHitR.bytes().begin(), kHitR.bytes().end());
+      crypto::append_be(input, j, 8);
+      const crypto::Sha1Digest d = crypto::sha1(input);
+      const std::uint32_t tail = (std::uint32_t(d[17]) << 16) |
+                                 (std::uint32_t(d[18]) << 8) | d[19];
+      if ((tail & ((1u << k) - 1)) == 0) break;
+    }
+    const auto solution = puzzle.solve(kHitI, kHitR);
+    EXPECT_EQ(solution.j, j) << int(k);
+    EXPECT_EQ(solution.attempts, j + 1) << int(k);
+  }
+}
+
+TEST(Puzzle, HelpersAreDefinedForEveryDifficulty) {
+  const auto expected = [](std::uint8_t k) {
+    return Puzzle{k, 0}.expected_attempts();
+  };
+  EXPECT_DOUBLE_EQ(expected(0), 1.0);
+  EXPECT_DOUBLE_EQ(expected(63), 9223372036854775808.0);
+  EXPECT_DOUBLE_EQ(expected(64), 18446744073709551616.0);
+  EXPECT_DOUBLE_EQ(expected(255), std::ldexp(1.0, 255));
+  // No 160-bit digest has more than 160 zero bits: above that, no J
+  // verifies (and nothing reads past the digest).
+  for (const std::uint8_t k : {161, 200, 255}) {
+    const Puzzle puzzle{k, 7};
+    for (std::uint64_t j = 0; j < 64; ++j) {
+      EXPECT_FALSE(puzzle.verify(kHitI, kHitR, j)) << int(k);
+    }
+  }
 }
 
 TEST(Puzzle, WrongSolutionRejected) {

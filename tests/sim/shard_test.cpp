@@ -427,6 +427,110 @@ TEST(ShardCoordinator, PlanWorkersClampsAutoRequestsToWorkOnHand) {
   EXPECT_EQ(w.coord.world_hash(), base.hash);
 }
 
+/// Two shards; shard 0 posts to shard 1 from `ticks` local events 1 ms
+/// apart, each post landing 2.5 ms later. Every arrival records its
+/// virtual time, so a late or lost drain shows.
+struct ParityWorld {
+  std::vector<std::unique_ptr<EventLoop>> loops;
+  ShardCoordinator coord;
+  std::vector<Time> arrivals;
+
+  explicit ParityWorld(int ticks) {
+    for (int s = 0; s < 2; ++s) {
+      loops.push_back(std::make_unique<EventLoop>());
+      coord.add_shard(loops.back().get());
+    }
+    coord.set_lookahead(kLookahead);
+    for (int k = 0; k < ticks; ++k) {
+      loops[0]->schedule_at(from_millis(k), [this] {
+        coord.post(0, 1, loops[0]->now() + from_micros(2500),
+                   [this] { arrivals.push_back(loops[1]->now()); });
+      });
+    }
+  }
+};
+
+TEST(ShardCoordinator, BoundedRunResumesWithUndrainedPostsInEitherParity) {
+  // A bounded run that stops with a post still in flight leaves it in the
+  // write cell of whatever parity its last round had; the next run must
+  // drain it on time either way. The runs below end after both odd and
+  // even epoch counts.
+  bool seen_parity[2] = {false, false};
+  for (int ticks = 1; ticks <= 4; ++ticks) {
+    std::vector<Time> want;
+    for (int k = 0; k < ticks; ++k) {
+      want.push_back(from_millis(k) + from_micros(2500));
+    }
+    ParityWorld whole(ticks);
+    whole.coord.run(from_millis(10), 1);
+    EXPECT_EQ(whole.arrivals, want) << "ticks=" << ticks;
+    for (const unsigned workers : {1u, 2u}) {
+      ParityWorld split(ticks);
+      // Stop just after the last post, before its arrival.
+      split.coord.run(from_millis(ticks - 1) + from_micros(1), workers);
+      EXPECT_EQ(split.coord.inbox_pending(), 1u) << "ticks=" << ticks;
+      seen_parity[split.coord.epochs() % 2] = true;
+      split.coord.run(from_millis(10), workers);
+      EXPECT_EQ(split.arrivals, want)
+          << "ticks=" << ticks << " workers=" << workers;
+      EXPECT_EQ(split.coord.inbox_pending(), 0u);
+      EXPECT_EQ(split.coord.world_hash(), whole.coord.world_hash())
+          << "ticks=" << ticks << " workers=" << workers;
+    }
+  }
+  EXPECT_TRUE(seen_parity[0] && seen_parity[1]);
+}
+
+TEST(ShardCoordinator, SetupThreadPostsBeforeTheFirstRunAreDrained) {
+  for (const unsigned workers : {1u, 2u}) {
+    std::vector<std::unique_ptr<EventLoop>> loops;
+    ShardCoordinator coord;
+    for (int s = 0; s < 2; ++s) {
+      loops.push_back(std::make_unique<EventLoop>());
+      coord.add_shard(loops.back().get());
+    }
+    coord.set_lookahead(kLookahead);
+    std::vector<Time> fires;
+    for (const Time when : {kLookahead, from_millis(3), from_micros(150)}) {
+      coord.post(0, 1, when, [&] { fires.push_back(loops[1]->now()); });
+    }
+    coord.post(1, 0, from_millis(2), [&] { fires.push_back(loops[0]->now()); });
+    EXPECT_EQ(coord.inbox_pending(), 4u);
+    coord.run(from_millis(5), workers);
+    EXPECT_EQ(fires, (std::vector<Time>{kLookahead, from_micros(150),
+                                        from_millis(2), from_millis(3)}))
+        << "workers=" << workers;
+    EXPECT_EQ(coord.inbox_pending(), 0u);
+  }
+}
+
+TEST(ShardCoordinator, InboxPendingCountsBothParityCells) {
+  // On one worker a round drains and runs shard 0, then shard 1. A throw
+  // in shard 0 leaves shard 1's read cell undrained while shard 0's new
+  // post waits in the other parity's cell: both count, and the next run
+  // delivers both on time.
+  std::vector<std::unique_ptr<EventLoop>> loops;
+  ShardCoordinator coord;
+  for (int s = 0; s < 2; ++s) {
+    loops.push_back(std::make_unique<EventLoop>());
+    coord.add_shard(loops.back().get());
+  }
+  coord.set_lookahead(kLookahead);
+  std::vector<Time> fires;
+  const auto arrive = [&] { fires.push_back(loops[1]->now()); };
+  loops[0]->schedule_at(0, [&] { coord.post(0, 1, from_micros(250), arrive); });
+  loops[0]->schedule_at(from_micros(300), [&] {
+    coord.post(0, 1, from_micros(600), arrive);
+    throw CheckFailure("synthetic shard failure");
+  });
+  EXPECT_THROW(coord.run(from_millis(1), 1), CheckFailure);
+  EXPECT_EQ(coord.inbox_pending(), 2u);
+  EXPECT_TRUE(fires.empty());
+  coord.run(from_millis(1), 1);
+  EXPECT_EQ(fires, (std::vector<Time>{from_micros(250), from_micros(600)}));
+  EXPECT_EQ(coord.inbox_pending(), 0u);
+}
+
 TEST(ShardCoordinator, PostOnUnregisteredSeamTripsInRegisteredOnlyMode) {
   std::vector<std::unique_ptr<EventLoop>> loops;
   ShardCoordinator coord;
