@@ -1,6 +1,6 @@
 // Sharded-simulator scaling curve (BENCH_scale.json).
 //
-// Three sections:
+// Two sections:
 //
 //  1. scale   One fixed 8-rack ShardedFabric world (8 shards, 32 VMs)
 //             driven with N cross-rack probe "clients" for N in
@@ -20,17 +20,9 @@
 //
 //             Each run also reports the coordinator's schedule shape:
 //             barrier epochs, events per epoch, per-shard strides and
-//             wall time lost inside the two barriers.
+//             wall time workers spend parked at the round barrier.
 //
-//  2. adaptive_ablation  A heterogeneous 8-rack / 4-pod fabric (fast
-//             100 us seams inside a pod, 5 ms seams between pods) with
-//             phase-staggered per-rack traffic, run with per-pair
-//             adaptive lookahead vs the global-min horizon. The world
-//             hash and event count must be byte-identical — only the
-//             slicing may change — and the adaptive run must need
-//             strictly fewer epochs. The binary fails otherwise.
-//
-//  3. rubis   The sharded RUBiS + reverse-proxy service (HIP mode, ESP
+//  2. rubis   The sharded RUBiS + reverse-proxy service (HIP mode, ESP
 //             on every proxy->web and web->db hop) at growing
 //             closed-loop client farms, run at every worker count: real
 //             protocol traffic through the parallel worlds, not probe
@@ -192,75 +184,6 @@ RunStats run_scale_point(std::size_t clients, unsigned workers) {
   return s;
 }
 
-// --- adaptive-lookahead ablation --------------------------------------------
-
-/// Heterogeneous fabric: 4 pods of 2 racks; 100 us seams inside a pod,
-/// 5 ms between pods. Traffic is phase-staggered so at any instant one
-/// rack of each pod is bursting probes at the *other pods* while its pod
-/// sibling idles — exactly the shape where a per-pair horizon lets busy
-/// shards stride far past the global-min epoch length (bounded only by
-/// the slow seams and the idle sibling's distant next-event time).
-RunStats run_hetero_point(bool adaptive, unsigned workers,
-                          sim::Duration duration) {
-  cloud::FabricConfig cfg;
-  cfg.racks = kRacks;
-  cfg.hosts_per_rack = 1;
-  cfg.vms_per_host = 1;
-  cfg.racks_per_pod = 2;
-  cfg.cross_pod.latency = sim::from_millis(5);
-  cloud::ShardedFabric fabric(cfg);
-  fabric.world().coordinator().set_adaptive(adaptive);
-
-  std::vector<net::IpAddr> vm_ip;
-  std::vector<net::Node*> vm_node;
-  for (std::size_t r = 0; r < kRacks; ++r) {
-    vm_ip.emplace_back(fabric.rack_vms(r)[0]->private_ip());
-    vm_node.push_back(fabric.rack_vms(r)[0]->node());
-    vm_node.back()->register_protocol(net::IpProto::kUdp,
-                                      [](net::Packet&&) {});
-  }
-
-  // Rack r is active during window r (mod kRacks) of a rotating cycle;
-  // during its window it probes the same-slot VM of every *other pod*
-  // every 250 us. Its pod sibling is idle then, so the sibling's clock
-  // can run ahead and the fast intra-pod seam never throttles anyone.
-  const sim::Duration window = sim::from_millis(2);
-  const sim::Duration probe_gap = sim::from_micros(250);
-  for (std::size_t r = 0; r < kRacks; ++r) {
-    for (sim::Time cycle = 0; cycle < duration;
-         cycle += static_cast<sim::Duration>(kRacks) * window) {
-      const sim::Time start =
-          cycle + static_cast<sim::Duration>(r) * window;
-      for (sim::Time t = start; t < start + window; t += probe_gap) {
-        for (std::size_t peer = 0; peer < kRacks; ++peer) {
-          if (fabric.pod_of(peer) == fabric.pod_of(r)) continue;
-          fabric.world().shard(r).loop().schedule_at(
-              t, [&fabric, &vm_ip, &vm_node, r, peer] {
-                net::Packet pkt;
-                pkt.src = vm_ip[r];
-                pkt.dst = vm_ip[peer];
-                pkt.proto = net::IpProto::kUdp;
-                pkt.payload = fabric.world().shard(r).buffer_pool().make(200);
-                pkt.stamp_l3_overhead();
-                vm_node[r]->send(std::move(pkt));
-              });
-        }
-      }
-    }
-  }
-
-  const auto t0 = Clock::now();
-  fabric.run(duration + sim::from_millis(20), workers);
-  const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
-
-  RunStats s;
-  s.workers = workers;
-  s.workers_planned = workers;
-  s.wall_seconds = wall;
-  fill_coordinator_stats(fabric, s);
-  return s;
-}
-
 // --- sharded RUBiS section ---------------------------------------------------
 
 struct RubisStats {
@@ -337,7 +260,6 @@ void write_run_json(std::FILE* f, const RunStats& r, double wall1,
 }
 
 void write_scale_json(const std::vector<ScalePoint>& points,
-                      const std::vector<RunStats>& hetero,
                       const std::vector<RubisPoint>& rubis,
                       const char* path) {
   std::FILE* f = std::fopen(path, "w");
@@ -380,26 +302,6 @@ void write_scale_json(const std::vector<ScalePoint>& points,
     std::fprintf(f, "    }%s\n", p + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-
-  std::fprintf(f, "  \"adaptive_ablation\": {\n");
-  std::fprintf(f,
-               "    \"note\": \"8 racks in 4 pods, 100us intra-pod / 5ms "
-               "cross-pod seams, phase-staggered bursts; identical world, "
-               "identical hash, only the horizon rule changes\",\n");
-  std::fprintf(f, "    \"runs\": [\n");
-  for (std::size_t i = 0; i < hetero.size(); ++i) {
-    const RunStats& r = hetero[i];
-    std::fprintf(f,
-                 "      {\"horizon\": \"%s\", \"workers\": %u, "
-                 "\"epochs\": %" PRIu64 ", \"events_per_epoch\": %.1f, "
-                 "\"shard_strides\": %" PRIu64 ", \"barrier_wait_ms\": %.2f, "
-                 "\"determinism_hash\": \"0x%016" PRIx64 "\"}%s\n",
-                 i < hetero.size() / 2 ? "per-pair" : "global-min", r.workers,
-                 r.epochs, r.events_per_epoch, r.strides, r.barrier_wait_ms,
-                 r.hash, i + 1 < hetero.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  },\n");
 
   std::fprintf(f, "  \"rubis\": [\n");
   for (std::size_t p = 0; p < rubis.size(); ++p) {
@@ -476,38 +378,6 @@ int main(int argc, char** argv) {
     points.push_back(std::move(pt));
   }
 
-  // Adaptive-vs-global-min ablation on the heterogeneous pod fabric.
-  std::printf("\nadaptive ablation: 4 pods x 2 racks, staggered bursts\n");
-  const sim::Duration hetero_dur = (quick ? 40 : 160) * sim::from_millis(1);
-  std::vector<RunStats> hetero;
-  for (const bool adaptive : {true, false}) {
-    for (const unsigned workers : {1u, 4u}) {
-      RunStats s = run_hetero_point(adaptive, workers, hetero_dur);
-      std::printf("  %-10s @ %u workers: %" PRIu64 " epochs, %" PRIu64
-                  " strides, %.0f ev/epoch, hash 0x%016" PRIx64 "\n",
-                  adaptive ? "per-pair" : "global-min", workers, s.epochs,
-                  s.strides, s.events_per_epoch, s.hash);
-      hetero.push_back(std::move(s));
-    }
-  }
-  // Same world, same behaviour: every run one hash, and within a horizon
-  // rule one slicing at every worker count. Fewer epochs with the
-  // per-pair horizon: the whole point of the adaptive rule.
-  for (const RunStats& s : hetero) {
-    if (s.hash != hetero[0].hash || s.events_fired != hetero[0].events_fired) {
-      ++failures;
-      std::printf("  MISMATCH: ablation changed the world hash\n");
-    }
-  }
-  if (!same_schedule("per-pair", hetero[1], hetero[0])) ++failures;
-  if (!same_schedule("global-min", hetero[3], hetero[2])) ++failures;
-  if (hetero[0].epochs >= hetero[2].epochs) {
-    ++failures;
-    std::printf("  FAIL: per-pair lookahead did not reduce epochs (%" PRIu64
-                " vs %" PRIu64 ")\n",
-                hetero[0].epochs, hetero[2].epochs);
-  }
-
   // Sharded RUBiS: real HIP/ESP traffic through the parallel worlds.
   const std::vector<int> farm_sizes =
       quick ? std::vector<int>{2} : std::vector<int>{2, 8, 32};
@@ -543,7 +413,7 @@ int main(int argc, char** argv) {
   }
 
   // The quick CTest smoke run keeps the JSON artifact from the full run.
-  if (!quick) write_scale_json(points, hetero, rubis, "BENCH_scale.json");
+  if (!quick) write_scale_json(points, rubis, "BENCH_scale.json");
 
   if (failures != 0) {
     std::printf("\nFAIL: %d violation%s\n", failures,
@@ -551,7 +421,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nPASS: hash, epochs and strides identical across workers "
-              "at every point, per-pair horizon needs fewer epochs, rubis "
-              "error-free\n");
+              "at every point, rubis error-free\n");
   return 0;
 }

@@ -21,13 +21,13 @@
 #                                 # including a no-acceleration env-matrix run
 #   scripts/check.sh --scale      # full fig_scale run: the sharded world at
 #                                 # 1/2/4/8(+auto) workers across all client
-#                                 # scales plus the adaptive-lookahead
-#                                 # ablation and the sharded RUBiS curve,
+#                                 # scales plus the sharded RUBiS curve,
 #                                 # regenerating BENCH_scale.json (fails on
-#                                 # any worker-count hash mismatch), then the
-#                                 # full sharded chaos drill (guest-link
-#                                 # flaps masked with zero client errors),
-#                                 # regenerating BENCH_shard_chaos.json
+#                                 # any worker-count hash, epoch or stride
+#                                 # mismatch), then the full sharded chaos
+#                                 # drill (guest-link flaps masked with zero
+#                                 # client errors), regenerating
+#                                 # BENCH_shard_chaos.json
 #   scripts/check.sh --pins       # the benchmark's seed-1 pins: each
 #                                 # perfbench workload for one short run,
 #                                 # failing if a simulated output (world

@@ -35,13 +35,9 @@ ShardedFabric::ShardedFabric(const FabricConfig& config)
   // the pair's own interface.
   for (std::size_t i = 0; i < config.racks; ++i) {
     for (std::size_t j = i + 1; j < config.racks; ++j) {
-      // Intra-pod pairs ride the fast cross_rack link; pairs spanning
-      // pods ride cross_pod — registering a per-pair lookahead as slow
-      // as the seam really is.
-      const bool same_pod = pod_of(i) == pod_of(j);
       const auto att = world_.connect_cross(
           i, clouds_[i]->gateway(), j, clouds_[j]->gateway(),
-          same_pod ? config.cross_rack : config.cross_pod);
+          config.cross_rack);
       clouds_[i]->gateway()->add_route(
           net::IpAddr(net::Ipv4Addr(10, static_cast<std::uint8_t>(j), 0, 0)),
           16, att.iface_a);

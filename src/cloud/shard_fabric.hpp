@@ -9,61 +9,30 @@
 
 namespace hipcloud::cloud {
 
-/// Deterministic rack/hypervisor → shard assignment. The fabric puts one
-/// rack per shard (a rack's hypervisors, VMs, ToR fabric and gateway all
-/// share one event loop — almost all traffic a VM generates stays inside
-/// its rack's loop); when a caller wants fewer shards than racks it folds
-/// racks onto shards round-robin, keeping the mapping a pure function of
-/// topology, never of thread timing.
-inline std::size_t shard_for_rack(std::size_t rack, std::size_t shards) {
-  return shards == 0 ? 0 : rack % shards;
-}
-inline std::size_t shard_for_hypervisor(std::size_t rack,
-                                        std::size_t hypervisor,
-                                        std::size_t hosts_per_rack,
-                                        std::size_t shards) {
-  // Hypervisors inherit their rack's shard; the parameters only exist so
-  // call sites state what they are placing.
-  (void)hypervisor;
-  (void)hosts_per_rack;
-  return shard_for_rack(rack, shards);
-}
-
 struct FabricConfig {
   std::size_t racks = 4;
   std::size_t hosts_per_rack = 2;
   std::size_t vms_per_host = 2;
   ProviderProfile profile = ProviderProfile::ec2();
-  /// Rack-to-rack interconnect. Its latency is the world's lookahead
-  /// floor: bigger = longer epochs and fewer barriers, smaller = tighter
-  /// cross-rack RTTs. Must stay positive.
+  /// Rack-to-rack interconnect. Its latency is every rack seam's
+  /// lookahead: bigger = longer epochs and fewer barriers, smaller =
+  /// tighter cross-rack RTTs. Must stay positive.
   net::LinkConfig cross_rack{/*bandwidth_bps=*/10e9,
                              /*latency=*/sim::from_micros(100),
                              /*max_queue_delay=*/sim::from_millis(50),
                              /*loss_rate=*/0.0,
                              /*mtu=*/1500};
-  /// Heterogeneous interconnect: racks group into pods of
-  /// `racks_per_pod` consecutive racks (0 = one flat pod, every link
-  /// `cross_rack`). Links between racks in *different* pods use
-  /// `cross_pod` instead — typically WAN-ish latency, which is exactly
-  /// the shape where per-pair lookahead beats the global minimum: only
-  /// the intra-pod seams are fast, so remote pods stride at cross_pod
-  /// cadence instead of barriering at cross_rack cadence.
-  std::size_t racks_per_pod = 0;
-  net::LinkConfig cross_pod{/*bandwidth_bps=*/1e9,
-                            /*latency=*/sim::from_millis(5),
-                            /*max_queue_delay=*/sim::from_millis(50),
-                            /*loss_rate=*/0.0,
-                            /*mtu=*/1500};
   std::uint64_t seed = 1;
 };
 
 /// A datacenter built for the sharded simulator: `racks` Cloud instances
 /// (cloud index = rack id, so rack r owns 10.r.0.0/16), each living in
-/// its own shard of a net::ShardedWorld, with a full mesh of cross-shard
-/// gateway-to-gateway links carrying the inter-rack routes. Worker
-/// threads are chosen at run() time; the topology (and therefore every
-/// event stream) never depends on them.
+/// its own shard of a net::ShardedWorld (shard id = rack id: a rack's
+/// hypervisors, VMs, ToR fabric and gateway share one event loop, so
+/// almost all traffic a VM generates stays inside it), with a full mesh
+/// of cross-shard gateway-to-gateway links carrying the inter-rack
+/// routes. Worker threads are chosen at run() time; the topology (and
+/// therefore every event stream) never depends on them.
 class ShardedFabric {
  public:
   explicit ShardedFabric(const FabricConfig& config);
@@ -72,11 +41,6 @@ class ShardedFabric {
   const FabricConfig& config() const { return config_; }
   std::size_t racks() const { return clouds_.size(); }
   Cloud& rack(std::size_t r) { return *clouds_[r]; }
-
-  /// Pod of a rack under this fabric's grouping (0 when flat).
-  std::size_t pod_of(std::size_t rack_id) const {
-    return config_.racks_per_pod ? rack_id / config_.racks_per_pod : 0;
-  }
 
   /// All VMs of one rack, in launch order.
   const std::vector<std::unique_ptr<Vm>>& rack_vms(std::size_t r) const {

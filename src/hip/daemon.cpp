@@ -52,6 +52,14 @@ std::optional<IpAddr> decode_locator(BytesView data) {
   return std::nullopt;
 }
 
+/// ESP_INFO: the sender's inbound SPI and the suite it offers or uses.
+Bytes encode_esp_info(std::uint32_t spi, EspSuite suite) {
+  Bytes out;
+  crypto::append_be(out, spi, 4);
+  out.push_back(static_cast<std::uint8_t>(suite));
+  return out;
+}
+
 Bytes encode_puzzle(const Puzzle& puzzle) {
   Bytes out{puzzle.difficulty_k};
   crypto::append_be(out, puzzle.random_i, 8);
@@ -158,6 +166,31 @@ net::Ipv4Addr HipDaemon::add_peer(const net::Ipv6Addr& peer_hit,
   Association& assoc = assoc_for(peer_hit);
   assoc.peer_locator = locator;
   return *lsi_for_peer(peer_hit);
+}
+
+std::optional<HipDaemon::EspInfo> HipDaemon::parse_esp_info(
+    const Bytes* param) {
+  if (param == nullptr || param->size() != 5) return std::nullopt;
+  const auto suite = esp_suite_from_wire((*param)[4]);
+  if (!suite) {
+    ++stats_.esp_suite_rejects;
+    return std::nullopt;
+  }
+  return EspInfo{static_cast<std::uint32_t>(crypto::read_be(*param, 0, 4)),
+                 *suite};
+}
+
+void HipDaemon::install_sas(Association& assoc, const EspInfo& peer,
+                            std::uint32_t spi_in) {
+  assoc.spi_out = peer.spi;
+  assoc.spi_in = spi_in;
+  spi_to_peer_[spi_in] = assoc.peer_hit;
+  assoc.sa_out = std::make_unique<EspSa>(peer.spi, peer.suite,
+                                         assoc.keymat.esp_enc_out,
+                                         assoc.keymat.esp_auth_out);
+  assoc.sa_in = std::make_unique<EspSa>(spi_in, peer.suite,
+                                        assoc.keymat.esp_enc_in,
+                                        assoc.keymat.esp_auth_in);
 }
 
 HipDaemon::Association& HipDaemon::assoc_for(const net::Ipv6Addr& peer_hit) {
@@ -905,10 +938,8 @@ void HipDaemon::handle_r1(const HipMessage& msg, const Packet& pkt) {
                       dh_.public_value().end());
     i2.set_param(ParamType::kDiffieHellman, std::move(dh_payload));
     i2.set_param(ParamType::kHostId, identity_.public_encoding());
-    Bytes esp_info;
-    crypto::append_be(esp_info, found->spi_in, 4);
-    esp_info.push_back(static_cast<std::uint8_t>(config_.esp_suite));
-    i2.set_param(ParamType::kEspInfo, std::move(esp_info));
+    i2.set_param(ParamType::kEspInfo,
+                 encode_esp_info(found->spi_in, config_.esp_suite));
     i2.set_param(ParamType::kSignature, identity_.sign(i2.signed_view()));
     i2.attach_hmac(found->keymat.hip_hmac_out);
 
@@ -927,10 +958,10 @@ void HipDaemon::handle_i2(const HipMessage& msg, const Packet& pkt) {
   const Bytes* dh_param = msg.param(ParamType::kDiffieHellman);
   const Bytes* solution = msg.param(ParamType::kSolution);
   const Bytes* signature = msg.param(ParamType::kSignature);
-  const Bytes* esp_info = msg.param(ParamType::kEspInfo);
+  const auto esp_info = parse_esp_info(msg.param(ParamType::kEspInfo));
   if (peer_hi == nullptr || dh_param == nullptr || solution == nullptr ||
-      signature == nullptr || esp_info == nullptr || dh_param->size() < 2 ||
-      solution->size() != 17 || esp_info->size() != 5) {
+      signature == nullptr || !esp_info || dh_param->size() < 2 ||
+      solution->size() != 17) {
     return;
   }
   if (HostIdentity::derive_hit(*peer_hi) != msg.sender_hit) {
@@ -964,16 +995,14 @@ void HipDaemon::handle_i2(const HipMessage& msg, const Packet& pkt) {
 
   const double cycles = dh_cycles() + verify_cycles(*peer_hi) + sign_cycles();
   const net::Ipv6Addr peer_hit = msg.sender_hit;
-  const auto peer_spi =
-      static_cast<std::uint32_t>(crypto::read_be(*esp_info, 0, 4));
-  const auto suite = static_cast<EspSuite>((*esp_info)[4]);
+  const EspInfo peer_esp = *esp_info;
   const Bytes hi_copy = *peer_hi;
   const IpAddr initiator_locator = pkt.src;
-  charge(cycles, [this, peer_hit, peer_spi, suite, keymat, hi_copy,
+  charge(cycles, [this, peer_hit, peer_esp, keymat, hi_copy,
                   initiator_locator] {
     Association& assoc = assoc_for(peer_hit);
     const bool duplicate_i2 = assoc.state == AssocState::kEstablished &&
-                              assoc.spi_out == peer_spi;
+                              assoc.spi_out == peer_esp.spi;
     if (duplicate_i2) {
       // Same exchange, our R2 was lost: re-send R2 idempotently.
     } else {
@@ -995,24 +1024,14 @@ void HipDaemon::handle_i2(const HipMessage& msg, const Packet& pkt) {
       assoc.peer_hi = hi_copy;
       assoc.peer_locator = initiator_locator;
       assoc.keymat = keymat;
-      assoc.spi_out = peer_spi;
-      assoc.spi_in = fresh_spi();
-      spi_to_peer_[assoc.spi_in] = peer_hit;
-      assoc.sa_out = std::make_unique<EspSa>(peer_spi, suite,
-                                             keymat.esp_enc_out,
-                                             keymat.esp_auth_out);
-      assoc.sa_in = std::make_unique<EspSa>(assoc.spi_in, suite,
-                                            keymat.esp_enc_in,
-                                            keymat.esp_auth_in);
+      install_sas(assoc, peer_esp, fresh_spi());
     }
     HipMessage r2;
     r2.type = MsgType::kR2;
     r2.sender_hit = identity_.hit();
     r2.receiver_hit = peer_hit;
-    Bytes esp_info_out;
-    crypto::append_be(esp_info_out, assoc.spi_in, 4);
-    esp_info_out.push_back(static_cast<std::uint8_t>(assoc.sa_in->suite()));
-    r2.set_param(ParamType::kEspInfo, std::move(esp_info_out));
+    r2.set_param(ParamType::kEspInfo,
+                 encode_esp_info(assoc.spi_in, assoc.sa_in->suite()));
     r2.set_param(ParamType::kSignature, identity_.sign(r2.signed_view()));
     r2.attach_hmac(assoc.keymat.hip_hmac_out);
     send_control(r2, assoc.peer_locator);
@@ -1026,11 +1045,9 @@ void HipDaemon::handle_i2(const HipMessage& msg, const Packet& pkt) {
 void HipDaemon::handle_r2(const HipMessage& msg, const Packet& pkt) {
   Association* assoc = find_assoc(msg.sender_hit);
   if (assoc == nullptr || assoc->state != AssocState::kI2Sent) return;
-  const Bytes* esp_info = msg.param(ParamType::kEspInfo);
+  const auto esp_info = parse_esp_info(msg.param(ParamType::kEspInfo));
   const Bytes* signature = msg.param(ParamType::kSignature);
-  if (esp_info == nullptr || signature == nullptr || esp_info->size() != 5) {
-    return;
-  }
+  if (!esp_info || signature == nullptr) return;
   if (!msg.check_hmac(assoc->keymat.hip_hmac_in)) {
     ++stats_.auth_failures;
     return;
@@ -1043,18 +1060,11 @@ void HipDaemon::handle_r2(const HipMessage& msg, const Packet& pkt) {
   assoc->peer_locator = pkt.src;
 
   const net::Ipv6Addr peer_hit = msg.sender_hit;
-  const auto peer_spi =
-      static_cast<std::uint32_t>(crypto::read_be(*esp_info, 0, 4));
-  const auto suite = static_cast<EspSuite>((*esp_info)[4]);
-  charge(verify_cycles(assoc->peer_hi), [this, peer_hit, peer_spi, suite] {
+  const EspInfo peer_esp = *esp_info;
+  charge(verify_cycles(assoc->peer_hi), [this, peer_hit, peer_esp] {
     Association* found = find_assoc(peer_hit);
     if (found == nullptr || found->state != AssocState::kI2Sent) return;
-    found->spi_out = peer_spi;
-    found->sa_out = std::make_unique<EspSa>(
-        peer_spi, suite, found->keymat.esp_enc_out, found->keymat.esp_auth_out);
-    found->sa_in = std::make_unique<EspSa>(
-        found->spi_in, suite, found->keymat.esp_enc_in,
-        found->keymat.esp_auth_in);
+    install_sas(*found, peer_esp, found->spi_in);
     establish(*found,
               node_->network().loop().now() - found->bex_start);
   });
@@ -1124,28 +1134,18 @@ void HipDaemon::handle_update(const HipMessage& msg, const Packet& pkt) {
   const net::Ipv6Addr peer_hit = msg.sender_hit;
   assoc->last_heard = node_->network().loop().now();
 
-  const Bytes* esp_info = msg.param(ParamType::kEspInfo);
+  const Bytes* esp_info_param = msg.param(ParamType::kEspInfo);
   const auto ack_seq = msg.u64(ParamType::kAck);
 
   // Rekey acknowledgement: the responder installed generation g+1 and
   // tells us its fresh inbound SPI. Install our side symmetrically.
-  if (ack_seq && esp_info != nullptr && assoc->rekey_in_flight) {
-    if (esp_info->size() != 5) return;
-    const auto peer_spi =
-        static_cast<std::uint32_t>(crypto::read_be(*esp_info, 0, 4));
-    const auto suite = static_cast<EspSuite>((*esp_info)[4]);
+  if (ack_seq && esp_info_param != nullptr && assoc->rekey_in_flight) {
+    const auto esp_info = parse_esp_info(esp_info_param);
+    if (!esp_info) return;
     const std::uint32_t gen = assoc->rekey_generation + 1;
     assoc->keymat.ratchet_esp(gen);
     retire_old_sa_in(*assoc);
-    assoc->spi_out = peer_spi;
-    assoc->spi_in = assoc->rekey_new_spi_in;
-    spi_to_peer_[assoc->spi_in] = peer_hit;
-    assoc->sa_out = std::make_unique<EspSa>(peer_spi, suite,
-                                            assoc->keymat.esp_enc_out,
-                                            assoc->keymat.esp_auth_out);
-    assoc->sa_in = std::make_unique<EspSa>(assoc->spi_in, suite,
-                                           assoc->keymat.esp_enc_in,
-                                           assoc->keymat.esp_auth_in);
+    install_sas(*assoc, *esp_info, assoc->rekey_new_spi_in);
     assoc->rekey_generation = gen;
     assoc->rekey_in_flight = false;
     if (assoc->rekey_timer_armed) {
@@ -1180,8 +1180,9 @@ void HipDaemon::handle_update(const HipMessage& msg, const Packet& pkt) {
   // Rekey request (ESP_INFO + SEQ, no LOCATOR): peer wants generation
   // g+1. Both sides ratchet the ESP keys independently from the shared
   // keymat, so no new DH is needed — fresh SPIs, fresh replay windows.
-  if (esp_info != nullptr && seq && locator_param == nullptr) {
-    if (esp_info->size() != 5) return;
+  if (esp_info_param != nullptr && seq && locator_param == nullptr) {
+    const auto esp_info = parse_esp_info(esp_info_param);
+    if (!esp_info) return;
     if (*seq <= assoc->update_seq_in_seen) {
       // Retransmit of a rekey we already applied (our ack was lost):
       // re-acknowledge with the SPI installed back then.
@@ -1191,10 +1192,9 @@ void HipDaemon::handle_update(const HipMessage& msg, const Packet& pkt) {
         re_ack.sender_hit = identity_.hit();
         re_ack.receiver_hit = peer_hit;
         re_ack.set_u64(ParamType::kAck, *seq);
-        Bytes info;
-        crypto::append_be(info, assoc->spi_in, 4);
-        info.push_back(static_cast<std::uint8_t>(assoc->sa_in->suite()));
-        re_ack.set_param(ParamType::kEspInfo, std::move(info));
+        re_ack.set_param(ParamType::kEspInfo,
+                         encode_esp_info(assoc->spi_in,
+                                         assoc->sa_in->suite()));
         re_ack.set_param(ParamType::kSignature,
                          identity_.sign(re_ack.signed_view()));
         re_ack.attach_hmac(assoc->keymat.hip_hmac_out);
@@ -1215,21 +1215,10 @@ void HipDaemon::handle_update(const HipMessage& msg, const Packet& pkt) {
     }
     assoc->update_seq_in_seen = *seq;
     assoc->last_rekey_seq = *seq;
-    const auto peer_spi =
-        static_cast<std::uint32_t>(crypto::read_be(*esp_info, 0, 4));
-    const auto suite = static_cast<EspSuite>((*esp_info)[4]);
     const std::uint32_t gen = assoc->rekey_generation + 1;
     assoc->keymat.ratchet_esp(gen);
     retire_old_sa_in(*assoc);
-    assoc->spi_out = peer_spi;
-    assoc->spi_in = fresh_spi();
-    spi_to_peer_[assoc->spi_in] = peer_hit;
-    assoc->sa_out = std::make_unique<EspSa>(peer_spi, suite,
-                                            assoc->keymat.esp_enc_out,
-                                            assoc->keymat.esp_auth_out);
-    assoc->sa_in = std::make_unique<EspSa>(assoc->spi_in, suite,
-                                           assoc->keymat.esp_enc_in,
-                                           assoc->keymat.esp_auth_in);
+    install_sas(*assoc, *esp_info, fresh_spi());
     assoc->rekey_generation = gen;
     audit_association(*assoc);
     ++stats_.rekeys_completed;
@@ -1240,10 +1229,8 @@ void HipDaemon::handle_update(const HipMessage& msg, const Packet& pkt) {
     rekey_ack.sender_hit = identity_.hit();
     rekey_ack.receiver_hit = peer_hit;
     rekey_ack.set_u64(ParamType::kAck, *seq);
-    Bytes info;
-    crypto::append_be(info, assoc->spi_in, 4);
-    info.push_back(static_cast<std::uint8_t>(suite));
-    rekey_ack.set_param(ParamType::kEspInfo, std::move(info));
+    rekey_ack.set_param(ParamType::kEspInfo,
+                        encode_esp_info(assoc->spi_in, esp_info->suite));
     rekey_ack.set_param(ParamType::kSignature,
                         identity_.sign(rekey_ack.signed_view()));
     rekey_ack.attach_hmac(assoc->keymat.hip_hmac_out);
@@ -1317,10 +1304,8 @@ void HipDaemon::send_rekey_update(Association& assoc) {
   update.type = MsgType::kUpdate;
   update.sender_hit = identity_.hit();
   update.receiver_hit = assoc.peer_hit;
-  Bytes esp_info;
-  crypto::append_be(esp_info, assoc.rekey_new_spi_in, 4);
-  esp_info.push_back(static_cast<std::uint8_t>(config_.esp_suite));
-  update.set_param(ParamType::kEspInfo, std::move(esp_info));
+  update.set_param(ParamType::kEspInfo,
+                   encode_esp_info(assoc.rekey_new_spi_in, config_.esp_suite));
   update.set_u64(ParamType::kSeq, assoc.update_seq_out);
   update.set_param(ParamType::kSignature,
                    identity_.sign(update.signed_view()));

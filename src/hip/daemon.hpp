@@ -152,6 +152,9 @@ class HipDaemon {
     /// R1s dropped unsolved because their puzzle asked for more than
     /// kMaxPuzzleDifficulty bits.
     std::uint64_t puzzle_too_hard = 0;
+    /// I2, R2 and UPDATE messages dropped because their ESP_INFO named a
+    /// suite outside EspSuite.
+    std::uint64_t esp_suite_rejects = 0;
     /// Outbound packets discarded because the pre-BEX pending queue was
     /// full, and packets thrown away when an association failed or was
     /// torn down with traffic still queued.
@@ -310,6 +313,19 @@ class HipDaemon {
   void audit_association(const Association& assoc) const;
 
   // Helpers.
+  /// An ESP_INFO parameter: the sender's inbound SPI and its suite.
+  struct EspInfo {
+    std::uint32_t spi = 0;
+    EspSuite suite = EspSuite::kAes128CtrSha256;
+  };
+  /// nullopt when `param` is missing or malformed, or names a suite
+  /// outside EspSuite (counted in Stats::esp_suite_rejects).
+  std::optional<EspInfo> parse_esp_info(const crypto::Bytes* param);
+  /// Point the association at a fresh SA pair keyed from its keymat's
+  /// current ESP keys: outbound on the peer's SPI and suite, inbound on
+  /// `spi_in`.
+  void install_sas(Association& assoc, const EspInfo& peer,
+                   std::uint32_t spi_in);
   Association& assoc_for(const net::Ipv6Addr& peer_hit);
   Association* find_assoc(const net::Ipv6Addr& peer_hit);
   const Association* find_assoc(const net::Ipv6Addr& peer_hit) const;

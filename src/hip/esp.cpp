@@ -47,9 +47,25 @@ const char* esp_suite_name(EspSuite suite) {
   return "?";
 }
 
+std::optional<EspSuite> esp_suite_from_wire(std::uint8_t byte) {
+  const auto suite = static_cast<EspSuite>(byte);
+  switch (suite) {
+    case EspSuite::kNullSha256:
+    case EspSuite::kAes128CtrSha256:
+    case EspSuite::kAes128CbcSha256:
+      return suite;
+  }
+  return std::nullopt;
+}
+
 EspSa::EspSa(std::uint32_t spi, EspSuite suite, BytesView enc_key,
              BytesView auth_key)
     : spi_(spi), suite_(suite), hmac_(auth_key), hmac_mb_(auth_key) {
+  // An unknown suite would match no case of protect's or unprotect's
+  // cipher switch and pass payloads in clear.
+  if (!esp_suite_from_wire(static_cast<std::uint8_t>(suite))) {
+    throw std::invalid_argument("EspSa: unknown suite");
+  }
   if (suite != EspSuite::kNullSha256) {
     if (enc_key.size() < 16) {
       throw std::invalid_argument("EspSa: encryption key too short");

@@ -25,6 +25,9 @@ enum class EspSuite : std::uint8_t {
 
 std::size_t esp_overhead(EspSuite suite);
 const char* esp_suite_name(EspSuite suite);
+/// The suite a wire byte (ESP_INFO) names, or nullopt for one outside
+/// EspSuite.
+std::optional<EspSuite> esp_suite_from_wire(std::uint8_t byte);
 
 /// One direction of a BEET-mode ESP security association.
 ///
@@ -40,6 +43,8 @@ class EspSa {
   static constexpr std::uint8_t kModeHit = 0;
   static constexpr std::uint8_t kModeLsi = 1;
 
+  /// Throws std::invalid_argument for a suite outside EspSuite, or an
+  /// encryption key shorter than 16 bytes for a ciphered suite.
   EspSa(std::uint32_t spi, EspSuite suite, crypto::BytesView enc_key,
         crypto::BytesView auth_key);
 

@@ -38,10 +38,6 @@ ShardedWorld::ShardedWorld(std::size_t shards, std::uint64_t seed) {
     nets_.push_back(std::make_unique<Network>(seeder.next()));
     coord_.add_shard(&nets_.back()->loop());
   }
-  // Every cross-shard post this world issues rides a CrossLinkHalf whose
-  // seam is registered below, so unregistered pairs carry no traffic and
-  // must not constrain anyone's horizon.
-  coord_.set_registered_pairs_only(true);
 }
 
 ShardedWorld::CrossAttachment ShardedWorld::connect_cross(
@@ -71,17 +67,13 @@ ShardedWorld::CrossAttachment ShardedWorld::connect_cross(
   // The seam's channel lookahead, both directions: a delivery can leave
   // no earlier than `latency` after the instant the sender commits the
   // transmit, so the coordinator may stride each receiver past every
-  // remote clock by its own seam's minimum. Shrink-only: adding a faster
-  // link mid-build (or between runs) tightens just this pair.
+  // remote clock by its own seam's minimum. Every cross post this world
+  // issues rides a CrossLinkHalf, so these are its only seams; pairs
+  // never connected carry no traffic and bound no horizon. Shrink-only:
+  // adding a faster link mid-build (or between runs) tightens just this
+  // pair.
   coord_.register_pair_lookahead(shard_a, shard_b, config.latency);
   coord_.register_pair_lookahead(shard_b, shard_a, config.latency);
-  // Keep the legacy global view in sync: lookahead() still reports the
-  // smallest cross-shard latency anywhere (the global-min ablation's
-  // epoch length and the bound on any not-yet-registered seam).
-  if (min_cross_latency_ < 0 || config.latency < min_cross_latency_) {
-    min_cross_latency_ = config.latency;
-    coord_.set_lookahead(min_cross_latency_);
-  }
   return att;
 }
 

@@ -68,9 +68,7 @@ class ShardedWorld {
   /// cross-shard link. `config.latency` must be positive: it is the
   /// channel lookahead registered for the (shard_a, shard_b) seam in
   /// both directions, so each shard's per-round horizon is bounded only
-  /// by the seams actually pointing at it. The coordinator's global
-  /// lookahead() keeps tracking the smallest cross-shard latency in the
-  /// world (the global-min ablation's epoch length).
+  /// by the seams actually pointing at it.
   CrossAttachment connect_cross(std::size_t shard_a, Node* a,
                                 std::size_t shard_b, Node* b,
                                 const LinkConfig& config);
@@ -87,7 +85,6 @@ class ShardedWorld {
   std::vector<std::unique_ptr<Network>> nets_;
   sim::ShardCoordinator coord_;
   std::vector<std::unique_ptr<CrossLinkHalf>> cross_links_;
-  sim::Duration min_cross_latency_ = -1;
 };
 
 }  // namespace hipcloud::net

@@ -97,8 +97,10 @@ class EventLoop {
   ///    cross arrivals order among themselves by (src shard, post index)
   ///    — exactly the coordinator's canonical drain order;
   ///  - the (when, seq) pair folded by PerfCounters::note_fire is
-  ///    invariant across epoch slicings, so adaptive and global-min
-  ///    lookahead produce byte-identical hashes by construction.
+  ///    invariant across epoch slicings, so a run cut into bounded runs
+  ///    at any instants drains the same posts at different barriers and
+  ///    still produces the byte-identical hash by construction
+  ///    (ShardCoordinator.IrregularlySlicedRunsMatchOneRun).
   /// The local counter is NOT consumed, so local seq streams are equally
   /// slicing-invariant.
   template <typename F>

@@ -36,11 +36,11 @@ struct PerfCounters {
   /// from the loop's FIFO counter, cross-shard events carry a
   /// (src shard, post index) encoding assigned at post time (see
   /// EventLoop::schedule_cross) — so the stream is invariant not only
-  /// across worker counts but across epoch slicings (adaptive vs
-  /// global-min lookahead drain the same posts at different barriers).
+  /// across worker counts but across epoch slicings (bounded runs stopped
+  /// at different instants drain the same posts at different barriers).
   /// Arena slot indices are deliberately NOT folded: slot recycling
   /// depends on when cross events are drained, which is exactly the
-  /// freedom the adaptive horizon exploits. Two runs of the same seeded
+  /// freedom the per-pair horizon exploits. Two runs of the same seeded
   /// world are bit-deterministic iff their hash streams match; any hidden
   /// nondeterminism (iteration-order leak, uninitialised read feeding a
   /// timer, cross-world state) diverges the hash at the first bad
@@ -96,8 +96,8 @@ struct PerfCounters {
     shard_stride_ns += o.shard_stride_ns;
   }
 
-  /// Mean events executed per barrier round — the headline the adaptive
-  /// per-pair lookahead drives up (same events, fewer barriers).
+  /// Mean events executed per barrier round — the headline the per-pair
+  /// horizons drive up (same events, fewer barriers).
   double events_per_epoch() const {
     return shard_epochs ? static_cast<double>(events_fired) /
                               static_cast<double>(shard_epochs)

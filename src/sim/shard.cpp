@@ -63,32 +63,11 @@ Duration ShardCoordinator::pair_lookahead(std::size_t src,
   return pair_lookahead_[src * n + dst];
 }
 
-Duration ShardCoordinator::effective_lookahead(std::size_t src,
-                                               std::size_t dst) const {
-  const Duration reg = pair_lookahead_[src * shards_.size() + dst];
-  if (reg >= 0) return reg;
-  return registered_only_ ? -1 : lookahead_;
-}
-
-Duration ShardCoordinator::min_effective_lookahead() const {
-  const std::size_t n = shards_.size();
-  Duration min_la = registered_only_ ? -1 : lookahead_;
-  for (std::size_t src = 0; src < n; ++src) {
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      const Duration reg = pair_lookahead_[src * n + dst];
-      if (reg >= 0 && (min_la < 0 || reg < min_la)) min_la = reg;
-    }
-  }
-  // A world with no seams at all still needs a positive epoch for the
-  // global-min rule; the default lookahead serves.
-  return min_la >= 0 ? min_la : lookahead_;
-}
-
 void ShardCoordinator::post(std::size_t src, std::size_t dst, Time when,
                             InlineFn fn) {
   const std::size_t n = shards_.size();
   HIPCLOUD_CHECK(src < n && dst < n, "cross-shard post outside the world");
-  HIPCLOUD_CHECK(!registered_only_ || pair_lookahead_[src * n + dst] >= 0,
+  HIPCLOUD_CHECK(pair_lookahead_[src * n + dst] >= 0,
                  "cross-shard post on an unregistered seam");
   Inbox& c = cell(write_parity_, src, dst);
   c.events.push_back(CrossEvent{when, post_seq_[src]++, std::move(fn)});
@@ -169,7 +148,6 @@ void ShardCoordinator::compute_horizons(Time until, bool& done) {
   // sit in write cells (the read cells were drained this round). These
   // are the committed clocks' forward projections published at this
   // barrier — every shard's loop is parked, so the reads are exact.
-  Time global_min = kInfTime;
   for (std::size_t i = 0; i < n; ++i) {
     const Time t = shards_[i]->next_event_time();
     lbts_[i] = t >= 0 ? t : kInfTime;
@@ -179,56 +157,46 @@ void ShardCoordinator::compute_horizons(Time until, bool& done) {
       lbts_[dst] = std::min(lbts_[dst], cell(write_parity_, src, dst).min_when);
     }
   }
-  for (const Time t : lbts_) global_min = std::min(global_min, t);
+  const Time global_min = *std::min_element(lbts_.begin(), lbts_.end());
   if (global_min == kInfTime || (until >= 0 && global_min > until)) {
     done = true;
     return;
   }
 
-  if (!adaptive_) {
-    // Global-min ablation: one epoch length for everyone, the PR-7 rule.
-    const Duration la = min_effective_lookahead();
-    HIPCLOUD_CHECK(la > 0, "shard lookahead must be positive");
-    Time h = sat_add(global_min, la);
-    if (until >= 0 && h > until) h = until;
-    horizons_.assign(n, h);
-  } else {
-    // Fixed point of l(i) = min(next(i), min_j l(j) + la(j,i)) — a
-    // shortest-path relaxation, so at most n-1 sweeps converge; worlds
-    // converge in 2-3 because seams are few. l(i) lower-bounds the next
-    // instant shard i can fire (and hence emit) anything.
-    for (std::size_t round = 1; round < n; ++round) {
-      bool changed = false;
-      for (std::size_t dst = 0; dst < n; ++dst) {
-        for (std::size_t src = 0; src < n; ++src) {
-          if (src == dst) continue;
-          const Duration la = effective_lookahead(src, dst);
-          if (la < 0) continue;
-          const Time cand = sat_add(lbts_[src], la);
-          if (cand < lbts_[dst]) {
-            lbts_[dst] = cand;
-            changed = true;
-          }
+  // Fixed point of l(i) = min(next(i), min_j l(j) + la(j,i)) over the
+  // registered seams — a shortest-path relaxation, so at most n-1 sweeps
+  // converge; worlds converge in 2-3 because seams are few. l(i)
+  // lower-bounds the next instant shard i can fire (and hence emit)
+  // anything.
+  for (std::size_t round = 1; round < n; ++round) {
+    bool changed = false;
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      for (std::size_t src = 0; src < n; ++src) {
+        const Duration la = pair_lookahead_[src * n + dst];
+        if (la < 0) continue;
+        const Time cand = sat_add(lbts_[src], la);
+        if (cand < lbts_[dst]) {
+          lbts_[dst] = cand;
+          changed = true;
         }
       }
-      if (!changed) break;
     }
-    // horizon(i): nothing can arrive from seam (j,i) before l(j) +
-    // la(j,i), so shard i safely commits through the min of those. The
-    // shard holding the global minimum l always clears its own horizon
-    // (every term is >= l_min + positive la), so each round fires at
-    // least one event — progress is unconditional.
-    for (std::size_t i = 0; i < n; ++i) {
-      Time h = kInfTime;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        const Duration la = effective_lookahead(j, i);
-        if (la < 0) continue;
-        h = std::min(h, sat_add(lbts_[j], la));
-      }
-      if (until >= 0 && h > until) h = until;
-      horizons_[i] = h == kInfTime ? -1 : h;
+    if (!changed) break;
+  }
+  // horizon(i): nothing can arrive from seam (j,i) before l(j) +
+  // la(j,i), so shard i safely commits through the min of those. The
+  // shard holding the global minimum l always clears its own horizon
+  // (every term is >= l_min + positive la), so each round fires at
+  // least one event — progress is unconditional.
+  for (std::size_t i = 0; i < n; ++i) {
+    Time h = kInfTime;
+    for (std::size_t j = 0; j < n; ++j) {
+      const Duration la = pair_lookahead_[j * n + i];
+      if (la < 0) continue;
+      h = std::min(h, sat_add(lbts_[j], la));
     }
+    if (until >= 0 && h > until) h = until;
+    horizons_[i] = h == kInfTime ? -1 : h;
   }
 
   // The posts just read become the next round's drain.
@@ -271,7 +239,6 @@ std::size_t ShardCoordinator::run(Time until, unsigned workers) {
   const std::size_t n = shards_.size();
   if (n == 0) return 0;
   workers = plan_workers(workers);
-  HIPCLOUD_CHECK(lookahead_ > 0, "shard lookahead must be positive");
   failed_.store(false, std::memory_order_relaxed);
   first_failure_ = nullptr;
 

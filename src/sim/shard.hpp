@@ -27,12 +27,11 @@ namespace hipcloud::sim {
 /// lookahead(k,j)) over the published per-shard committed clocks and
 /// next-event times, computed once per barrier. Shards connected only by
 /// slow seams take long strides; idle shards skip ahead; a fast seam
-/// between two other shards never throttles them. Pairs with no
-/// registered seam fall back to the global default lookahead — or, in
-/// registered-pairs-only mode (net::ShardedWorld, where all cross
-/// traffic flows over registered CrossLinkHalf twins), to no constraint
-/// at all. `set_adaptive(false)` reverts to the PR-7 global-min epoch
-/// rule for ablation; both modes produce byte-identical hashes.
+/// between two other shards never throttles them. Cross-shard posts are
+/// legal only on registered seams (checked), so a pair with no
+/// registered seam carries no traffic and imposes no constraint at all.
+/// This is the only horizon rule; net::ShardedWorld registers each seam
+/// when it connects a CrossLinkHalf pair across it.
 ///
 /// Cross-shard traffic flows through per-(src,dst) inboxes, two cells
 /// per pair selected by epoch parity, and each round crosses one barrier:
@@ -63,7 +62,8 @@ namespace hipcloud::sim {
 /// post-time identity, so draining the same posts at different barriers
 /// cannot reorder or rename any firing. The per-shard FNV-1a hashes and
 /// their shard-id-order merge are therefore byte-identical whether the
-/// same world runs on 1 worker or N, adaptive or global-min.
+/// same world runs on 1 worker or N, in one run or in several bounded
+/// runs.
 class ShardCoordinator {
  public:
   ShardCoordinator() = default;
@@ -77,44 +77,25 @@ class ShardCoordinator {
   std::size_t shard_count() const { return shards_.size(); }
   EventLoop* shard(std::size_t id) { return shards_[id]; }
 
-  /// Default lookahead for shard pairs with no registered seam, and the
-  /// floor of the global-min ablation. Must be positive and no larger
-  /// than the minimum cross-shard delivery latency of any unregistered
-  /// seam, or conservative synchronization is violated (a post could
-  /// land inside the round that issued it). Callers building worlds
-  /// shrink this to their minimum cross link latency before running.
-  void set_lookahead(Duration lookahead) { lookahead_ = lookahead; }
-  Duration lookahead() const { return lookahead_; }
-
   /// Record that links cross the ordered seam (src,dst) with delivery
-  /// latency >= `lookahead`. Shrink-only min: registering a faster link
-  /// later tightens the pair (legal between runs — outstanding posts
-  /// were validated against the older, larger bound). Posts on a
-  /// registered pair must arrive at least `pair_lookahead(src,dst)`
-  /// after the source's committed clock.
+  /// latency >= `lookahead`, which must be positive. Shrink-only min:
+  /// registering a faster link later tightens the pair (legal between
+  /// runs — outstanding posts were validated against the older, larger
+  /// bound). Posts on a registered pair must arrive at least
+  /// `pair_lookahead(src,dst)` after the source's committed clock, or
+  /// conservative synchronization is violated (a post could land inside
+  /// the round that issued it).
   void register_pair_lookahead(std::size_t src, std::size_t dst,
                                Duration lookahead);
 
   /// The registered seam lookahead, or -1 when (src,dst) has none.
   Duration pair_lookahead(std::size_t src, std::size_t dst) const;
 
-  /// When true, cross-shard posts are only legal on registered pairs
-  /// (checked), and unregistered pairs impose no horizon constraint at
-  /// all. net::ShardedWorld enables this: every cross post it issues
-  /// rides a CrossLinkHalf whose seam was registered at connect time.
-  void set_registered_pairs_only(bool on) { registered_only_ = on; }
-  bool registered_pairs_only() const { return registered_only_; }
-
-  /// Adaptive per-pair horizons (default) vs the PR-7 global-min epoch
-  /// rule (every shard runs to min-next-event + min-lookahead). The
-  /// ablation knob for bench/fig_scale; hashes are identical either way.
-  void set_adaptive(bool on) { adaptive_ = on; }
-  bool adaptive() const { return adaptive_; }
-
   /// Post a cross-shard event: run `fn` in shard `dst`'s loop at absolute
   /// time `when`. Called only from `src`'s worker during a round (or
-  /// from the setup thread before run()); the lookahead contract requires
-  /// `when` to be at or beyond `dst`'s current horizon.
+  /// from the setup thread before run()); (src,dst) must be a registered
+  /// seam (checked), and the lookahead contract requires `when` to be at
+  /// or beyond `dst`'s current horizon.
   void post(std::size_t src, std::size_t dst, Time when, InlineFn fn);
 
   /// Run every shard to `until` (inclusive, like EventLoop::run; pass -1
@@ -150,7 +131,7 @@ class ShardCoordinator {
   /// Total wall-clock nanoseconds workers spent parked at the round
   /// barrier, summed across workers and runs. Telemetry only (never
   /// feeds simulation state or the hash): the BENCH_scale.json
-  /// barrier-wait column showing what the adaptive horizon saves.
+  /// barrier-wait column.
   std::uint64_t barrier_wait_ns() const {
     return barrier_wait_ns_.load(std::memory_order_relaxed);
   }
@@ -186,13 +167,6 @@ class ShardCoordinator {
     CrossEvent* event;
   };
 
-  /// Seam lookahead used by the horizon rule for (src,dst): the
-  /// registered pair value, else the global default, else (in
-  /// registered-pairs-only mode) no constraint (-1).
-  Duration effective_lookahead(std::size_t src, std::size_t dst) const;
-  /// min over all ordered pairs of effective_lookahead — the global-min
-  /// ablation's epoch length (and the PR-7 behavior).
-  Duration min_effective_lookahead() const;
   void compute_horizons(Time until, bool& done);
   /// The cell of (src,dst) at `parity`.
   Inbox& cell(unsigned parity, std::size_t src, std::size_t dst) {
@@ -213,10 +187,9 @@ class ShardCoordinator {
   // drain_into's reused batch, one per destination; drain_scratch_[dst]
   // is touched only by dst's worker.
   std::vector<std::vector<DrainRef>> drain_scratch_;  // hipcheck:shard_owned
-  std::vector<Duration> pair_lookahead_;  // src * shard_count + dst; -1 unset
-  Duration lookahead_ = from_micros(50);
-  bool registered_only_ = false;
-  bool adaptive_ = true;
+  // src * shard_count + dst; -1: no registered seam (always so on the
+  // diagonal), so the pair carries no posts and bounds no horizon.
+  std::vector<Duration> pair_lookahead_;
 
   // Round state: written only inside the barrier completion (all workers
   // parked) or before the workers start, read by workers after release —

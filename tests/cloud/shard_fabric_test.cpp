@@ -11,14 +11,6 @@
 namespace hipcloud::cloud {
 namespace {
 
-TEST(ShardAssignment, PureFunctionOfTopology) {
-  EXPECT_EQ(shard_for_rack(0, 4), 0u);
-  EXPECT_EQ(shard_for_rack(3, 4), 3u);
-  EXPECT_EQ(shard_for_rack(5, 4), 1u);  // folds round-robin
-  EXPECT_EQ(shard_for_rack(7, 1), 0u);
-  EXPECT_EQ(shard_for_hypervisor(2, 1, 2, 4), 2u);
-}
-
 struct FabricRun {
   std::uint64_t hash;
   std::uint64_t fired;
@@ -79,27 +71,6 @@ TEST(ShardedFabric, CrossRackTrafficArrivesAndHashIsWorkerInvariant) {
   }
 }
 
-TEST(ShardedFabric, HeterogeneousPodsRegisterSlowInterPodSeams) {
-  FabricConfig cfg;
-  cfg.racks = 4;
-  cfg.hosts_per_rack = 1;
-  cfg.vms_per_host = 1;
-  cfg.racks_per_pod = 2;  // racks {0,1} and {2,3}
-  cfg.cross_pod.latency = sim::from_millis(5);
-  ShardedFabric fabric(cfg);
-  EXPECT_EQ(fabric.pod_of(0), 0u);
-  EXPECT_EQ(fabric.pod_of(3), 1u);
-  auto& coord = fabric.world().coordinator();
-  // Intra-pod seams carry the fast cross_rack lookahead, inter-pod the
-  // slow cross_pod one — the heterogeneity the adaptive horizon exploits.
-  EXPECT_EQ(coord.pair_lookahead(0, 1), cfg.cross_rack.latency);
-  EXPECT_EQ(coord.pair_lookahead(2, 3), cfg.cross_rack.latency);
-  EXPECT_EQ(coord.pair_lookahead(0, 2), cfg.cross_pod.latency);
-  EXPECT_EQ(coord.pair_lookahead(1, 3), cfg.cross_pod.latency);
-  // The global view still reports the smallest seam in the world.
-  EXPECT_EQ(coord.lookahead(), cfg.cross_rack.latency);
-}
-
 TEST(ShardedFabric, RackTopologyAndAddressing) {
   FabricConfig cfg;
   cfg.racks = 3;
@@ -108,11 +79,19 @@ TEST(ShardedFabric, RackTopologyAndAddressing) {
   ShardedFabric fabric(cfg);
   ASSERT_EQ(fabric.racks(), 3u);
   EXPECT_EQ(fabric.world().shard_count(), 3u);
-  // Cross-rack mesh latency bounds the lookahead.
-  EXPECT_EQ(fabric.world().coordinator().lookahead(), cfg.cross_rack.latency);
+  // Every pair of racks is a seam, both ways, at the mesh latency.
+  auto& coord = fabric.world().coordinator();
+  for (std::size_t i = 0; i < cfg.racks; ++i) {
+    for (std::size_t j = 0; j < cfg.racks; ++j) {
+      EXPECT_EQ(coord.pair_lookahead(i, j),
+                i == j ? sim::Duration{-1} : cfg.cross_rack.latency);
+    }
+  }
   for (std::size_t r = 0; r < cfg.racks; ++r) {
     ASSERT_EQ(fabric.rack_vms(r).size(), 4u);
     for (const auto& vm : fabric.rack_vms(r)) {
+      // Rack r lives in shard r, a pure function of the topology.
+      EXPECT_EQ(&vm->node()->network(), &fabric.world().shard(r));
       // Rack r owns 10.r.0.0/16 (cloud index = rack id).
       const std::uint32_t ip = vm->private_ip().value();
       EXPECT_EQ(ip >> 24, 10u);

@@ -316,6 +316,27 @@ TEST(HipDaemon, RefusesToConstructAboveTheDifficultyBound) {
                std::invalid_argument);
 }
 
+TEST(HipDaemon, ResponderDropsI2NamingAnUnknownEspSuite) {
+  // The initiator's I2 is signed, HMAC'd and carries a solved puzzle, but
+  // its ESP_INFO names suite 0x7f. An SA pair built with it would carry
+  // payloads in clear, so the responder drops every copy of the I2 and
+  // counts it, and no association forms on either side.
+  HipConfig unknown_suite;
+  unknown_suite.esp_suite = static_cast<EspSuite>(0x7f);
+  HipPair topo(unknown_suite);
+  topo.ha->initiate(topo.hb->hit());
+  topo.net.loop().run();
+  EXPECT_NE(topo.ha->state(topo.hb->hit()), AssocState::kEstablished);
+  EXPECT_NE(topo.hb->state(topo.ha->hit()), AssocState::kEstablished);
+  EXPECT_EQ(topo.ha->stats().bex_completed, 0u);
+  EXPECT_EQ(topo.hb->stats().bex_completed, 0u);
+  EXPECT_EQ(topo.ha->stats().bex_failed, 1u);
+  EXPECT_EQ(topo.hb->stats().auth_failures, 0u);
+  // The first I2 and each of the initiator's retransmissions.
+  EXPECT_EQ(topo.hb->stats().esp_suite_rejects,
+            static_cast<std::uint64_t>(1 + unknown_suite.bex_max_retries));
+}
+
 TEST(HipDaemon, AdaptivePuzzleRaisesDifficultyUnderLoad) {
   HipConfig cfg;
   cfg.puzzle_difficulty = 4;

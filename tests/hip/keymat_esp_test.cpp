@@ -261,5 +261,21 @@ TEST(EspSa, RejectsShortKeys) {
       std::invalid_argument);
 }
 
+TEST(EspSa, RejectsSuitesOutsideTheEnum) {
+  // A suite no cipher switch knows would carry payloads in clear.
+  for (const std::uint8_t byte : {0x00, 0x04, 0x7f, 0xff}) {
+    EXPECT_FALSE(esp_suite_from_wire(byte).has_value()) << int{byte};
+    EXPECT_THROW(EspSa(1, static_cast<EspSuite>(byte), Bytes(16, 0),
+                       Bytes(32, 0)),
+                 std::invalid_argument)
+        << int{byte};
+  }
+  for (const EspSuite suite :
+       {EspSuite::kNullSha256, EspSuite::kAes128CtrSha256,
+        EspSuite::kAes128CbcSha256}) {
+    EXPECT_EQ(esp_suite_from_wire(static_cast<std::uint8_t>(suite)), suite);
+  }
+}
+
 }  // namespace
 }  // namespace hipcloud::hip

@@ -140,21 +140,6 @@ TEST(ShardedWorld, RejectsSameShardAndZeroLatencyCrossLinks) {
   EXPECT_ANY_THROW(world.connect_cross(0, a, 1, b, zero));
 }
 
-TEST(ShardedWorld, LookaheadTracksSmallestCrossLatency) {
-  ShardedWorld world(3);
-  Node* a = world.shard(0).add_node("a");
-  Node* b = world.shard(1).add_node("b");
-  Node* c = world.shard(2).add_node("c");
-  LinkConfig slow;
-  slow.latency = sim::from_millis(2);
-  LinkConfig fast;
-  fast.latency = sim::from_micros(30);
-  world.connect_cross(0, a, 1, b, slow);
-  EXPECT_EQ(world.coordinator().lookahead(), slow.latency);
-  world.connect_cross(1, b, 2, c, fast);
-  EXPECT_EQ(world.coordinator().lookahead(), fast.latency);
-}
-
 TEST(ShardedWorld, ConnectCrossRegistersPerPairLookaheadBothWays) {
   ShardedWorld world(3);
   Node* a = world.shard(0).add_node("a");
@@ -174,7 +159,6 @@ TEST(ShardedWorld, ConnectCrossRegistersPerPairLookaheadBothWays) {
   EXPECT_EQ(coord.pair_lookahead(1, 2), fast.latency);
   EXPECT_EQ(coord.pair_lookahead(2, 1), fast.latency);
   EXPECT_EQ(coord.pair_lookahead(0, 2), sim::Duration{-1});
-  EXPECT_TRUE(coord.registered_pairs_only());
   // A second, faster link on an existing seam shrinks just that pair —
   // the dynamic-link-addition contract.
   LinkConfig faster;

@@ -16,6 +16,16 @@ namespace {
 
 constexpr Duration kLookahead = from_micros(100);
 
+/// Register every ordered shard pair with `la`: the seams of a world
+/// whose every shard may post to every other.
+void register_all_pairs(ShardCoordinator& coord, Duration la) {
+  for (std::size_t src = 0; src < coord.shard_count(); ++src) {
+    for (std::size_t dst = 0; dst < coord.shard_count(); ++dst) {
+      if (src != dst) coord.register_pair_lookahead(src, dst, la);
+    }
+  }
+}
+
 /// A deterministic synthetic multi-shard world: every shard runs a
 /// self-rescheduling tick chain, folds what it sees into a local
 /// accumulator, and every third tick posts a cross-shard event to the
@@ -33,7 +43,7 @@ struct SyntheticWorld {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_lookahead(kLookahead);
+    register_all_pairs(coord, kLookahead);
     for (std::size_t s = 0; s < shards; ++s) {
       schedule_tick(s, shards, /*tick=*/0, ticks);
     }
@@ -74,17 +84,21 @@ struct RunResult {
   std::vector<Time> clocks;
 };
 
-RunResult run_world(std::size_t shards, int ticks, Time until,
-                    unsigned workers) {
-  SyntheticWorld w(shards, ticks);
-  w.coord.run(until, workers);
+RunResult result_of(const SyntheticWorld& w) {
   RunResult r;
   r.hash = w.coord.world_hash();
   r.fired = w.coord.merged_perf().events_fired;
   r.acc = w.acc;
   r.arrivals = w.arrivals;
-  for (auto& loop : w.loops) r.clocks.push_back(loop->now());
+  for (const auto& loop : w.loops) r.clocks.push_back(loop->now());
   return r;
+}
+
+RunResult run_world(std::size_t shards, int ticks, Time until,
+                    unsigned workers) {
+  SyntheticWorld w(shards, ticks);
+  w.coord.run(until, workers);
+  return result_of(w);
 }
 
 TEST(ShardCoordinator, HashByteIdenticalAcrossWorkerCounts) {
@@ -124,7 +138,7 @@ TEST(ShardCoordinator, CrossShardDeliveryAtExactLookaheadBoundary) {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_lookahead(kLookahead);
+    register_all_pairs(coord, kLookahead);
     Time boundary_fire = -1;
     Time far_fire = -1;
     loops[0]->schedule_at(0, [&] {
@@ -153,7 +167,7 @@ TEST(ShardCoordinator, DrainOrderIsWhenThenSourceThenPostIndex) {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_lookahead(kLookahead);
+    register_all_pairs(coord, kLookahead);
     std::vector<int> order;
     const Time when = kLookahead + from_micros(1);
     // Post from sources 3, 1, 2 (registration order must not matter) —
@@ -184,7 +198,7 @@ TEST(ShardCoordinator, SkipAheadOverIdleStretches) {
     loops.push_back(std::make_unique<EventLoop>());
     coord.add_shard(loops.back().get());
   }
-  coord.set_lookahead(kLookahead);
+  register_all_pairs(coord, kLookahead);
   Time fired_at = -1;
   loops[0]->schedule_at(from_micros(5), [] {});
   loops[1]->schedule_at(from_seconds(10), [&] { fired_at = loops[1]->now(); });
@@ -213,7 +227,7 @@ TEST(ShardCoordinator, CallbackFailurePropagatesWithoutDeadlock) {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_lookahead(kLookahead);
+    register_all_pairs(coord, kLookahead);
     loops[1]->schedule_at(from_micros(10), [] {
       throw CheckFailure("synthetic shard failure");
     });
@@ -222,30 +236,42 @@ TEST(ShardCoordinator, CallbackFailurePropagatesWithoutDeadlock) {
   }
 }
 
-TEST(ShardCoordinator, AdaptiveAndGlobalMinHashesAreByteIdentical) {
-  // The tentpole invariant: per-pair horizons re-slice the epochs but
-  // must not rename or reorder a single firing. Same world, both modes,
-  // every worker count — one hash.
+TEST(ShardCoordinator, IrregularlySlicedRunsMatchOneRun) {
+  // Stopping at arbitrary instants re-slices the epochs and moves the
+  // barrier at which each post is drained into its destination. Cross
+  // arrivals carry their post-time identity (EventLoop::schedule_cross)
+  // and local events draw seq from a counter arrivals do not consume, so
+  // no firing may be renamed or reordered by the slicing: the sliced runs
+  // reproduce the single run exactly, at every worker count.
   const Time until = from_millis(3);
-  std::uint64_t want_hash = 0;
-  std::uint64_t want_epochs_adaptive = 0;
-  for (const bool adaptive : {true, false}) {
-    for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-      SyntheticWorld w(8, 40);
-      w.coord.set_adaptive(adaptive);
-      w.coord.run(until, workers);
-      if (want_hash == 0) want_hash = w.coord.world_hash();
-      EXPECT_EQ(w.coord.world_hash(), want_hash)
-          << "adaptive=" << adaptive << " workers=" << workers;
-      // Epoch count is a pure function of the schedule and the mode.
-      if (adaptive && want_epochs_adaptive == 0) {
-        want_epochs_adaptive = w.coord.epochs();
-      }
-      if (adaptive) {
-        EXPECT_EQ(w.coord.epochs(), want_epochs_adaptive)
-            << "workers=" << workers;
-      }
+  const Time stops[] = {from_micros(23),  from_micros(118), from_micros(119),
+                        from_micros(262), from_micros(401), from_micros(555),
+                        from_micros(731)};
+  SyntheticWorld whole(8, 40);
+  whole.coord.run(until, 1);
+  const RunResult base = result_of(whole);
+  EXPECT_GT(base.arrivals[1], 0u);
+  std::uint64_t sliced_epochs = 0;
+  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+    SyntheticWorld w(8, 40);
+    std::size_t stops_with_posts_in_flight = 0;
+    for (const Time stop : stops) {
+      w.coord.run(stop, workers);
+      if (w.coord.inbox_pending() > 0) ++stops_with_posts_in_flight;
     }
+    w.coord.run(until, workers);
+    // The slicing really differs: more epochs, and posts crossed stops.
+    // Within one slicing the epoch count is worker-invariant.
+    EXPECT_GT(w.coord.epochs(), whole.coord.epochs()) << "workers=" << workers;
+    EXPECT_GT(stops_with_posts_in_flight, 0u) << "workers=" << workers;
+    if (workers == 1) sliced_epochs = w.coord.epochs();
+    EXPECT_EQ(w.coord.epochs(), sliced_epochs) << "workers=" << workers;
+    const RunResult r = result_of(w);
+    EXPECT_EQ(r.hash, base.hash) << "workers=" << workers;
+    EXPECT_EQ(r.fired, base.fired) << "workers=" << workers;
+    EXPECT_EQ(r.acc, base.acc) << "workers=" << workers;
+    EXPECT_EQ(r.arrivals, base.arrivals) << "workers=" << workers;
+    EXPECT_EQ(r.clocks, base.clocks) << "workers=" << workers;
   }
 }
 
@@ -262,7 +288,6 @@ TEST(ShardCoordinator, DeliveryAtExactPerPairLookaheadBoundary) {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_registered_pairs_only(true);
     coord.register_pair_lookahead(0, 1, kFast);
     coord.register_pair_lookahead(0, 2, kSlow);
     EXPECT_EQ(coord.pair_lookahead(0, 1), kFast);
@@ -282,9 +307,7 @@ TEST(ShardCoordinator, DeliveryAtExactPerPairLookaheadBoundary) {
 
 /// Two isolated seam groups with very different cadences: shards 0<->1
 /// ping-pong every ~kFast over a fast seam, shards 2<->3 every ~kSlow
-/// over a slow one. Registered-pairs-only, so no seam crosses the
-/// groups. Built as a fixture so the heterogeneous tests below can run
-/// it in both horizon modes and at any worker count.
+/// over a slow one. No seam crosses the groups.
 struct TwoPairWorld {
   static constexpr Duration kFast = from_micros(100);
   static constexpr Duration kSlow = from_millis(10);
@@ -298,7 +321,6 @@ struct TwoPairWorld {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_registered_pairs_only(true);
     coord.register_pair_lookahead(0, 1, kFast);
     coord.register_pair_lookahead(1, 0, kFast);
     coord.register_pair_lookahead(2, 3, kSlow);
@@ -316,51 +338,24 @@ struct TwoPairWorld {
 };
 
 TEST(ShardCoordinator, FastSeamDoesNotThrottleSlowPairStride) {
-  // Under the global-min rule every shard's horizon creeps at kFast
-  // cadence, so the slow pair is dragged through thousands of tiny
-  // strides. Under per-pair horizons the slow shards take one stride
-  // per bounce. Same firings, same hash, far fewer strides.
+  // Per-pair horizons: the fast pair takes one epoch per bounce, and the
+  // slow pair rides one long stride per slow bounce instead of being
+  // marched at the fast seam's cadence. The schedule is pinned exactly,
+  // so a horizon regression fails here: marching every shard at the fast
+  // cadence (one stride per shard per epoch, 2000 strides) or any extra
+  // epoch moves these numbers.
   const Time until = from_millis(50);
-  PerfCounters adaptive_perf;
-  PerfCounters global_perf;
-  std::uint64_t adaptive_hash = 0;
-  std::uint64_t global_hash = 0;
-  std::vector<std::uint64_t> adaptive_bounces;
-  {
+  std::uint64_t hash_1w = 0;
+  for (const unsigned workers : {1u, 2u, 4u}) {
     TwoPairWorld w;
-    w.coord.run(until, 1);
-    adaptive_perf = w.coord.merged_perf();
-    adaptive_hash = w.coord.world_hash();
-    adaptive_bounces = w.bounces;
-  }
-  {
-    TwoPairWorld w;
-    w.coord.set_adaptive(false);
-    w.coord.run(until, 1);
-    global_perf = w.coord.merged_perf();
-    global_hash = w.coord.world_hash();
-    EXPECT_EQ(w.bounces, adaptive_bounces);
-  }
-  // ~500 fast bounces and ~5 slow ones actually happened either way.
-  EXPECT_GT(adaptive_bounces[0], 100u);
-  EXPECT_GE(adaptive_bounces[2], 3u);
-  EXPECT_EQ(adaptive_hash, global_hash);
-  EXPECT_EQ(adaptive_perf.events_fired, global_perf.events_fired);
-  // The stride economy is the point: the slow pair rides long strides
-  // instead of being marched at the fast seam's cadence.
-  EXPECT_LT(adaptive_perf.shard_strides, global_perf.shard_strides / 2);
-  EXPECT_GE(adaptive_perf.events_per_epoch(), global_perf.events_per_epoch());
-  // Worker-count invariance for the heterogeneous world, both modes.
-  for (const bool adaptive : {true, false}) {
-    for (const unsigned workers : {2u, 4u}) {
-      TwoPairWorld w;
-      w.coord.set_adaptive(adaptive);
-      w.coord.run(until, workers);
-      EXPECT_EQ(w.coord.world_hash(), adaptive_hash)
-          << "adaptive=" << adaptive << " workers=" << workers;
-      EXPECT_EQ(w.bounces, adaptive_bounces)
-          << "adaptive=" << adaptive << " workers=" << workers;
-    }
+    w.coord.run(until, workers);
+    if (workers == 1) hash_1w = w.coord.world_hash();
+    EXPECT_EQ(w.coord.world_hash(), hash_1w) << "workers=" << workers;
+    EXPECT_EQ(w.bounces, (std::vector<std::uint64_t>{251, 250, 3, 3}))
+        << "workers=" << workers;
+    EXPECT_EQ(w.coord.epochs(), 501u) << "workers=" << workers;
+    EXPECT_EQ(w.coord.merged_perf().shard_strides, 507u)
+        << "workers=" << workers;
   }
 }
 
@@ -379,7 +374,6 @@ TEST(ShardCoordinator, DynamicLinkAdditionShrinksPairLookaheadMidRun) {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_registered_pairs_only(true);
     coord.register_pair_lookahead(0, 1, kInitial);
     coord.register_pair_lookahead(1, 0, kInitial);
     std::vector<Time> fires;
@@ -440,7 +434,7 @@ struct ParityWorld {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_lookahead(kLookahead);
+    register_all_pairs(coord, kLookahead);
     for (int k = 0; k < ticks; ++k) {
       loops[0]->schedule_at(from_millis(k), [this] {
         coord.post(0, 1, loops[0]->now() + from_micros(2500),
@@ -489,7 +483,7 @@ TEST(ShardCoordinator, SetupThreadPostsBeforeTheFirstRunAreDrained) {
       loops.push_back(std::make_unique<EventLoop>());
       coord.add_shard(loops.back().get());
     }
-    coord.set_lookahead(kLookahead);
+    register_all_pairs(coord, kLookahead);
     std::vector<Time> fires;
     for (const Time when : {kLookahead, from_millis(3), from_micros(150)}) {
       coord.post(0, 1, when, [&] { fires.push_back(loops[1]->now()); });
@@ -515,7 +509,7 @@ TEST(ShardCoordinator, InboxPendingCountsBothParityCells) {
     loops.push_back(std::make_unique<EventLoop>());
     coord.add_shard(loops.back().get());
   }
-  coord.set_lookahead(kLookahead);
+  register_all_pairs(coord, kLookahead);
   std::vector<Time> fires;
   const auto arrive = [&] { fires.push_back(loops[1]->now()); };
   loops[0]->schedule_at(0, [&] { coord.post(0, 1, from_micros(250), arrive); });
@@ -532,13 +526,14 @@ TEST(ShardCoordinator, InboxPendingCountsBothParityCells) {
 }
 
 TEST(ShardCoordinator, PostOnUnregisteredSeamTripsInRegisteredOnlyMode) {
+  // Registered seams are the only legal channels: an unregistered pair
+  // bounds no horizon, so a post on it could land in a committed past.
   std::vector<std::unique_ptr<EventLoop>> loops;
   ShardCoordinator coord;
   for (int s = 0; s < 2; ++s) {
     loops.push_back(std::make_unique<EventLoop>());
     coord.add_shard(loops.back().get());
   }
-  coord.set_registered_pairs_only(true);
   coord.register_pair_lookahead(0, 1, kLookahead);
   EXPECT_NO_THROW(coord.post(0, 1, kLookahead, [] {}));
   EXPECT_THROW(coord.post(1, 0, kLookahead, [] {}), CheckFailure);
